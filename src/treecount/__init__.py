@@ -18,15 +18,12 @@ from .linalg import (
     DimensionMismatchError,
     IndexOutOfRangeError,
     LinalgError,
-    SingularTrailingBlockError,
     add_outer_product,
     adjugate,
     det_int,
     det_perturbed,
     det_rat,
-    det_via_schur,
     minor_matrix,
-    schur_complement,
 )
 from .kirchhoff import (
     Bipartition,
@@ -84,10 +81,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Graph", "build_graph",
     "GraphError", "LoopEdgeError", "DuplicateEdgeError", "OutOfRangeError",
-    "det_int", "det_rat", "minor_matrix", "add_outer_product", "det_perturbed",
-    "adjugate", "schur_complement", "det_via_schur",
+    "det_int", "det_rat", "minor_matrix", "add_outer_product", "det_perturbed", "adjugate",
     "LinalgError", "DimensionMismatchError", "IndexOutOfRangeError",
-    "SingularTrailingBlockError",
     "Bipartition", "check_bipartition", "find_bipartition",
     "tau", "tau_reduced", "tau_rank_one", "tau_temperley",
     "s_matrix", "tau_bipartite_schur",

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 method disagreement, 2 parse error (bad file,
 bad family spec, bad flags), 3 method unavailable for the input, 4 subset
 oracle over its guard.  The guard defaults to 10^7 subsets and can be
-overridden with the TREECOUNT_ORACLE_LIMIT environment variable.
+overridden with the TREECOUNT_ORACLE_LIMIT environment variable, which must
+be an integer >= 0 (exit 2 otherwise).
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import random
 import re
@@ -26,9 +26,6 @@ EXIT_MISMATCH = 1
 EXIT_PARSE = 2
 EXIT_METHOD = 3
 EXIT_ORACLE = 4
-
-COUNT_METHODS = ("reduced", "rankone", "temperley", "schur", "formula", "oracle")
-VERIFY_METHODS = ("reduced", "rankone", "temperley", "schur", "formula", "oracle", "delcon")
 
 
 class CliInputError(ValueError):
@@ -48,9 +45,12 @@ def _subset_limit() -> int:
     if raw is None:
         return oracle.DEFAULT_SUBSET_LIMIT
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError:
         raise CliInputError(f"TREECOUNT_ORACLE_LIMIT must be an integer, got {raw!r}") from None
+    if limit < 0:
+        raise CliInputError(f"TREECOUNT_ORACLE_LIMIT must be >= 0, got {limit}")
+    return limit
 
 
 def _load_input(args) -> tuple[Graph, families.Family | None]:
@@ -64,61 +64,46 @@ def _load_input(args) -> tuple[Graph, families.Family | None]:
     raise CliInputError("an input is required: --family or --file")
 
 
-def _compute(method: str, g: Graph, fam: families.Family | None, limit: int) -> int:
-    if method == "reduced":
-        return kirchhoff.tau_reduced(g, 1, 1)
-    if method == "rankone":
-        u = [1] * g.n
-        v = [0] * g.n
-        v[0] = 1
-        return kirchhoff.tau_rank_one(g, u, v)
-    if method == "temperley":
-        return kirchhoff.tau_temperley(g)
-    if method == "schur":
-        bp = kirchhoff.find_bipartition(g)
-        if bp is None or not bp.rows or not bp.cols:
-            raise MethodUnavailableError("schur needs a bipartite graph with two nonempty sides")
-        return kirchhoff.tau_bipartite_schur(g, bp)
-    if method == "formula":
-        if fam is None:
-            raise MethodUnavailableError("formula needs a --family input")
-        return fam.formula_count()
-    if method == "oracle":
-        return oracle.tau_subsets(g, limit)
-    if method == "delcon":
-        return oracle.tau_delcon(oracle.Multigraph.from_graph(g))
-    raise CliInputError(f"unknown method {method!r}")
-
-
-def _applicable_methods(g: Graph, fam: families.Family | None, limit: int) -> list[str]:
-    methods = ["reduced", "rankone", "temperley"]
+def _schur(g: Graph, fam, limit: int) -> int:
     bp = kirchhoff.find_bipartition(g)
-    if bp is not None and bp.rows and bp.cols:
-        methods.append("schur")
-    if fam is not None:
-        methods.append("formula")
-    if math.comb(len(g.edges), g.n - 1) <= limit:
-        methods.append("oracle")
-    methods.append("delcon")
-    return methods
+    if bp is None or not bp.rows or not bp.cols:
+        raise MethodUnavailableError("schur needs a bipartite graph with two nonempty sides")
+    return kirchhoff.tau_bipartite_schur(g, bp)
 
 
-def _parse_method_list(text: str, allowed: tuple[str, ...]) -> list[str]:
+def _formula(g: Graph, fam: families.Family | None, limit: int) -> int:
+    if fam is None:
+        raise MethodUnavailableError("formula needs a --family input")
+    return fam.formula_count()
+
+
+# name -> fn(graph, family or None, subset limit), in the order verify runs
+# them.  Entries look functions up on their modules at call time, so a
+# wrapped or patched module function is the one that runs.
+METHODS = {
+    "reduced": lambda g, fam, limit: kirchhoff.tau_reduced(g, 1, 1),
+    "rankone": lambda g, fam, limit: kirchhoff.tau_rank_one(g, [1] * g.n, [1] + [0] * (g.n - 1)),
+    "temperley": lambda g, fam, limit: kirchhoff.tau_temperley(g),
+    "schur": _schur,
+    "formula": _formula,
+    "oracle": lambda g, fam, limit: oracle.tau_subsets(g, limit),
+    "delcon": lambda g, fam, limit: oracle.tau_delcon(oracle.Multigraph.from_graph(g)),
+}
+
+def _parse_method_list(text: str) -> list[str]:
     methods = [t.strip() for t in text.split(",") if t.strip()]
     if not methods:
         raise CliInputError("empty method list")
     for m in methods:
-        if m not in allowed:
-            raise CliInputError(f"unknown method {m!r}; choose from {', '.join(allowed)}")
+        if m not in METHODS:
+            raise CliInputError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
     return methods
 
 
 def cmd_count(args) -> int:
     g, fam = _load_input(args)
     limit = _subset_limit()
-    start = time.perf_counter()
-    value = _compute(args.method, g, fam, limit)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    [(_, value, elapsed_ms)] = _run_methods(g, fam, [args.method], limit)
     if args.json:
         print(json.dumps({
             "method": args.method,
@@ -133,13 +118,27 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
-def _run_methods(g: Graph, fam, methods: list[str], limit: int) -> list[tuple[str, int, float]]:
+def _run_methods(g: Graph, fam, methods: list[str] | None, limit: int) -> list[tuple[str, int, float]]:
+    """(method, tau, elapsed_ms) per method.  With `methods` None every
+    method runs, and those that cannot run on this input are left out."""
+    skip = () if methods else (MethodUnavailableError, oracle.OracleTooLargeError)
     rows = []
-    for method in methods:
+    for method in methods or METHODS:
         start = time.perf_counter()
-        value = _compute(method, g, fam, limit)
+        try:
+            value = METHODS[method](g, fam, limit)
+        except skip:
+            continue
         rows.append((method, value, (time.perf_counter() - start) * 1000.0))
     return rows
+
+
+def _agreed_value(rows: list[tuple[str, int, float]], where: str = "") -> int:
+    values = {value for _, value, _ in rows}
+    if len(values) > 1:
+        detail = ", ".join(f"{m}={v}" for m, v, _ in rows)
+        raise MismatchError(f"{where}methods disagree: {detail}")
+    return values.pop()
 
 
 def _parse_random_spec(tokens: list[str]) -> tuple[int, int]:
@@ -172,26 +171,20 @@ def _random_connected_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph
 
 def cmd_verify(args) -> int:
     limit = _subset_limit()
+    methods = _parse_method_list(args.methods) if args.methods else None
     if args.random is not None:
-        return _verify_random(args, limit)
+        return _verify_random(args, methods, limit)
     g, fam = _load_input(args)
-    methods = _applicable_methods(g, fam, limit)
-    if args.methods:
-        methods = _parse_method_list(args.methods, VERIFY_METHODS)
     rows = _run_methods(g, fam, methods, limit)
     width = max(len(m) for m, _, _ in rows)
     print(f"{'method'.ljust(width)}  {'tau'.rjust(12)}  elapsed_ms")
     for method, value, ms in rows:
         print(f"{method.ljust(width)}  {str(value).rjust(12)}  {ms:10.3f}")
-    values = {value for _, value, _ in rows}
-    if len(values) > 1:
-        detail = ", ".join(f"{m}={v}" for m, v, _ in rows)
-        raise MismatchError(f"methods disagree: {detail}")
-    print(f"all methods agree: tau = {values.pop()}")
+    print(f"all methods agree: tau = {_agreed_value(rows)}")
     return EXIT_OK
 
 
-def _verify_random(args, limit: int) -> int:
+def _verify_random(args, methods: list[str] | None, limit: int) -> int:
     n, trials = _parse_random_spec(args.random)
     seed = args.seed if args.seed is not None else 0
     rng = random.Random(seed)
@@ -199,15 +192,11 @@ def _verify_random(args, limit: int) -> int:
     failures = 0
     for trial in range(1, trials + 1):
         g = _random_connected_graph(rng, n)
-        methods = [m for m in _applicable_methods(g, None, limit) if m != "formula"]
-        if args.methods:
-            methods = _parse_method_list(args.methods, VERIFY_METHODS)
-        rows = _run_methods(g, None, methods, limit)
-        values = {value for _, value, _ in rows}
-        if len(values) > 1:
+        try:
+            _agreed_value(_run_methods(g, None, methods, limit))
+        except MismatchError as exc:
             failures += 1
-            detail = ", ".join(f"{m}={v}" for m, v, _ in rows)
-            print(f"trial {trial}: MISMATCH on edges={sorted(g.edges)}: {detail}")
+            print(f"trial {trial}: MISMATCH on edges={sorted(g.edges)}: {exc}")
     print(f"agreements: {trials - failures}/{trials}")
     if failures:
         raise MismatchError(f"{failures} of {trials} random trials disagreed (seed={seed})")
@@ -215,13 +204,11 @@ def _verify_random(args, limit: int) -> int:
 
 
 def cmd_generate(args) -> int:
-    fam = families.parse_family(args.family)
-    text = edgelist.format_edgelist(fam.graph())
+    g = families.parse_family(args.family).graph()
     if args.output:
-        with open(args.output, "w", encoding="ascii", newline="") as handle:
-            handle.write(text)
+        edgelist.write_edgelist(g, args.output)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(edgelist.format_edgelist(g))
     return EXIT_OK
 
 
@@ -257,19 +244,16 @@ def _parse_sizes(text: str) -> list[int]:
 
 def cmd_bench(args) -> int:
     limit = _subset_limit()
-    methods = _parse_method_list(args.methods, VERIFY_METHODS) if args.methods else ["temperley"]
+    methods = _parse_method_list(args.methods) if args.methods else ["temperley"]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["family", "size", "method", "tau", "elapsed_ms"])
     for size in args.sizes:
         fam = families.parse_family(_substitute_size(args.family, size))
         g = fam.graph()
-        values = {}
-        for method, value, ms in _run_methods(g, fam, methods, limit):
-            values[method] = value
+        rows = _run_methods(g, fam, methods, limit)
+        for method, value, ms in rows:
             writer.writerow([args.family, size, method, str(value), f"{ms:.3f}"])
-        if len(set(values.values())) > 1:
-            detail = ", ".join(f"{m}={v}" for m, v in values.items())
-            raise MismatchError(f"size {size}: methods disagree: {detail}")
+        _agreed_value(rows, f"size {size}: ")
     return EXIT_OK
 
 
@@ -283,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     count = sub.add_parser("count", help="count spanning trees of one graph")
     count.add_argument("--family", help="family spec, e.g. complete:5 or threshold:ididd")
     count.add_argument("--file", help="edge-list file (header 'n m', lines 'i j')")
-    count.add_argument("--method", choices=COUNT_METHODS, default="temperley")
+    count.add_argument("--method", choices=[m for m in METHODS if m != "delcon"], default="temperley")
     count.add_argument("--json", action="store_true", help="emit a JSON report")
     count.set_defaults(func=cmd_count)
 

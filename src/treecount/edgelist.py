@@ -55,7 +55,11 @@ def parse_edgelist(text: str) -> Graph:
 
 def read_edgelist(path: str | os.PathLike) -> Graph:
     with open(path, encoding="ascii") as handle:
-        return parse_edgelist(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise EdgeListParseError(f"not an ASCII document: {exc}") from None
+    return parse_edgelist(text)
 
 
 def format_edgelist(g: Graph) -> str:

@@ -43,12 +43,18 @@ def _check_positive(name: str, value: int) -> None:
         raise FamilySpecError(f"{name} must be a positive integer, got {value!r}")
 
 
+def _check_sizes(sizes: Sequence[int]) -> list[int]:
+    """At least one size, each a positive integer."""
+    sizes = list(sizes)
+    if not sizes:
+        raise FamilySpecError("family needs at least one size")
+    for s in sizes:
+        _check_positive("size", s)
+    return sizes
+
+
 def _check_partition(parts: Sequence[int]) -> list[int]:
-    parts = list(parts)
-    if not parts:
-        raise FamilySpecError("partition must have at least one part")
-    for p in parts:
-        _check_positive("partition part", p)
+    parts = _check_sizes(parts)
     if any(a < b for a, b in zip(parts, parts[1:])):
         raise FamilySpecError(f"partition parts must be weakly decreasing, got {parts}")
     return parts
@@ -82,11 +88,7 @@ def gen_complete_multipartite(sizes: Sequence[int]) -> Graph:
     second, and so on; two vertices are adjacent exactly when they lie in
     different parts.
     """
-    sizes = list(sizes)
-    if not sizes:
-        raise FamilySpecError("multipartite spec needs at least one part")
-    for s in sizes:
-        _check_positive("part size", s)
+    sizes = _check_sizes(sizes)
     n = sum(sizes)
     part = []
     for index, size in enumerate(sizes):
@@ -193,11 +195,7 @@ def count_complete_multipartite(sizes: Sequence[int]) -> int:
 
     A single part gives an edgeless graph: 1 for the lone vertex, else 0.
     """
-    sizes = list(sizes)
-    if not sizes:
-        raise FamilySpecError("multipartite spec needs at least one part")
-    for s in sizes:
-        _check_positive("part size", s)
+    sizes = _check_sizes(sizes)
     n = sum(sizes)
     if len(sizes) == 1:
         return 1 if n == 1 else 0
@@ -258,38 +256,25 @@ class Family:
     kind: str
     args: tuple
 
+    def __post_init__(self):
+        _kind_entry(self.kind)
+
     def spec_string(self) -> str:
-        if self.kind == "threshold":
-            return f"threshold:{self.args[0]}"
         return f"{self.kind}:{','.join(str(a) for a in self.args)}"
 
     def graph(self) -> Graph:
-        if self.kind == "complete":
-            return gen_complete(self.args[0])
-        if self.kind == "bipartite":
-            return gen_complete_bipartite(*self.args)
-        if self.kind == "multipartite":
-            return gen_complete_multipartite(self.args)
-        if self.kind == "ferrers":
-            return gen_ferrers(self.args)
-        return gen_threshold(self.args[0])
+        return KINDS[self.kind][1](self.args)
 
     def formula_count(self) -> int:
-        if self.kind == "complete":
-            return count_complete(self.args[0])
-        if self.kind == "bipartite":
-            return count_complete_bipartite(*self.args)
-        if self.kind == "multipartite":
-            return count_complete_multipartite(self.args)
-        if self.kind == "ferrers":
-            return count_ferrers(self.args)
-        return count_threshold(self.args[0])
+        return KINDS[self.kind][2](self.args)
 
 
 _INT_TOKEN = re.compile(r"^(?:(\d+)x)?(\d+)$")
 
 
-def _parse_int_list(kind: str, text: str) -> list[int]:
+def _parse_sizes(kind: str, text: str, count: int | None = None) -> tuple[int, ...]:
+    """Positive sizes from a comma list with CxV repetition; exactly `count`
+    of them when given."""
     if not text:
         raise FamilySpecError(f"{kind} spec needs arguments")
     values = []
@@ -299,7 +284,48 @@ def _parse_int_list(kind: str, text: str) -> list[int]:
             raise FamilySpecError(f"bad numeric token {token!r} in {kind} spec")
         repeat = int(match.group(1)) if match.group(1) else 1
         values.extend([int(match.group(2))] * repeat)
-    return values
+    if count is not None and len(values) != count:
+        raise FamilySpecError(f"{kind} takes exactly {count} size(s), got {len(values)}")
+    return tuple(_check_sizes(values))
+
+
+# kind -> (parse: spec text after ':' -> args, gen: args -> Graph,
+# count: args -> closed-form tau).  Entries look functions up on the module
+# at call time, so a wrapped or patched generator is the one that runs.
+KINDS = {
+    "complete": (
+        lambda text: _parse_sizes("complete", text, 1),
+        lambda args: gen_complete(args[0]),
+        lambda args: count_complete(args[0]),
+    ),
+    "bipartite": (
+        lambda text: _parse_sizes("bipartite", text, 2),
+        lambda args: gen_complete_bipartite(*args),
+        lambda args: count_complete_bipartite(*args),
+    ),
+    "multipartite": (
+        lambda text: _parse_sizes("multipartite", text),
+        lambda args: gen_complete_multipartite(args),
+        lambda args: count_complete_multipartite(args),
+    ),
+    "ferrers": (
+        lambda text: tuple(_check_partition(_parse_sizes("ferrers", text))),
+        lambda args: gen_ferrers(args),
+        lambda args: count_ferrers(args),
+    ),
+    "threshold": (
+        lambda text: (_check_bits(text.strip()),),
+        lambda args: gen_threshold(args[0]),
+        lambda args: count_threshold(args[0]),
+    ),
+}
+
+
+def _kind_entry(kind: str):
+    try:
+        return KINDS[kind]
+    except KeyError:
+        raise FamilySpecError(f"unknown family kind {kind!r}") from None
 
 
 def parse_family(text: str) -> Family:
@@ -308,26 +334,4 @@ def parse_family(text: str) -> Family:
     kind = kind.strip().lower()
     if not sep:
         raise FamilySpecError(f"family spec {text!r} is missing ':'")
-    if kind == "complete":
-        args = _parse_int_list(kind, rest)
-        if len(args) != 1:
-            raise FamilySpecError("complete takes exactly one size")
-        _check_positive("n", args[0])
-        return Family(kind, tuple(args))
-    if kind == "bipartite":
-        args = _parse_int_list(kind, rest)
-        if len(args) != 2:
-            raise FamilySpecError("bipartite takes exactly two sizes")
-        for a in args:
-            _check_positive("size", a)
-        return Family(kind, tuple(args))
-    if kind == "multipartite":
-        args = _parse_int_list(kind, rest)
-        for a in args:
-            _check_positive("part size", a)
-        return Family(kind, tuple(args))
-    if kind == "ferrers":
-        return Family(kind, tuple(_check_partition(_parse_int_list(kind, rest))))
-    if kind == "threshold":
-        return Family(kind, (_check_bits(rest.strip()),))
-    raise FamilySpecError(f"unknown family kind {kind!r}")
+    return Family(kind, _kind_entry(kind)[0](rest))

@@ -2,8 +2,8 @@
 
 Integer determinants use fraction-free Bareiss elimination, so every
 intermediate value is an integer and every internal division is checked to
-be exact.  Rational work (Schur complements, the bipartite reduction matrix)
-uses Fraction, which keeps entries normalized with positive denominators.
+be exact.  Rational work (the bipartite reduction matrix) uses Fraction,
+which keeps entries normalized with positive denominators.
 
 Matrices are plain lists of row lists; row/column arguments on the public
 surface are 1-based to match vertex labels.
@@ -28,10 +28,6 @@ class DimensionMismatchError(LinalgError):
 
 class IndexOutOfRangeError(LinalgError):
     """A row/column index falls outside the matrix."""
-
-
-class SingularTrailingBlockError(LinalgError):
-    """The trailing block of a Schur decomposition is not invertible."""
 
 
 def _square_size(m: Sequence[Sequence]) -> int:
@@ -145,59 +141,3 @@ def adjugate(m: Sequence[Sequence[int]]) -> IntMatrix:
         for i in range(n)
     ]
 
-
-def _solve_trailing(d: list[list], rhs: list[list]) -> RatMatrix:
-    """Solve D X = RHS exactly over the rationals (D square q x q)."""
-    q = len(d)
-    width = len(rhs[0]) if rhs else 0
-    aug = [[Fraction(x) for x in d[i]] + [Fraction(x) for x in rhs[i]] for i in range(q)]
-    for k in range(q):
-        pivot_row = next((i for i in range(k, q) if aug[i][k] != 0), None)
-        if pivot_row is None:
-            raise SingularTrailingBlockError("trailing block is singular")
-        if pivot_row != k:
-            aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        pivot = aug[k][k]
-        for i in range(q):
-            if i == k:
-                continue
-            factor = aug[i][k] / pivot
-            if factor:
-                row_i, row_k = aug[i], aug[k]
-                for j in range(k, q + width):
-                    row_i[j] -= factor * row_k[j]
-    return [[aug[i][q + j] / aug[i][i] for j in range(width)] for i in range(q)]
-
-
-def schur_complement(m: Sequence[Sequence[int]], k: int) -> RatMatrix:
-    """A - B D^{-1} C for the block split with leading k x k block A.
-
-    The trailing (n-k) x (n-k) block D must be invertible.  Callers that
-    care about a particular vertex split must permute rows/columns into
-    position first; this function only sees the index k.
-    """
-    n = _square_size(m)
-    if not (0 <= k <= n):
-        raise IndexOutOfRangeError(f"block size {k} outside 0..{n}")
-    d = [list(row[k:]) for row in m[k:]]
-    c = [list(row[:k]) for row in m[k:]]
-    b = [list(row[k:]) for row in m[:k]]
-    x = _solve_trailing(d, c)  # (n-k) x k
-    return [
-        [Fraction(m[i][j]) - sum((b[i][t] * x[t][j] for t in range(n - k)), Fraction(0)) for j in range(k)]
-        for i in range(k)
-    ]
-
-
-def det_via_schur(m: Sequence[Sequence[int]], k: int) -> int:
-    """det(M) computed as det(D) * det(A - B D^{-1} C); exact integer."""
-    n = _square_size(m)
-    if not (0 <= k <= n):
-        raise IndexOutOfRangeError(f"block size {k} outside 0..{n}")
-    d = [list(row[k:]) for row in m[k:]]
-    det_d = det_int(d)
-    if det_d == 0:
-        raise SingularTrailingBlockError("trailing block is singular")
-    value = det_d * det_rat(schur_complement(m, k))
-    assert value.denominator == 1, "Schur product must be integral for integer input"
-    return int(value)

@@ -92,6 +92,24 @@ def test_verify_family_agreement(capsys):
         assert method in out
 
 
+def verify_methods(out):
+    lines = out.splitlines()
+    assert lines[0].startswith("method")
+    return [line.split()[0] for line in lines[1:-1]]
+
+
+def test_verify_file_lists_methods_in_table_order(capsys, tmp_path):
+    path = tmp_path / "g.edges"
+    path.write_text("4 4\n1 2\n2 3\n3 4\n1 4\n")  # 4-cycle, bipartite
+    code, out, _ = run(capsys, "verify", "--file", str(path))
+    assert code == EXIT_OK
+    assert verify_methods(out) == ["reduced", "rankone", "temperley", "schur", "oracle", "delcon"]
+    path.write_text("3 3\n1 2\n2 3\n1 3\n")  # triangle, not bipartite
+    code, out, _ = run(capsys, "verify", "--file", str(path))
+    assert code == EXIT_OK
+    assert verify_methods(out) == ["reduced", "rankone", "temperley", "oracle", "delcon"]
+
+
 def test_verify_trivial_bipartite(capsys):
     code, out, _ = run(capsys, "verify", "--family", "bipartite:1,1")
     assert code == EXIT_OK
@@ -165,6 +183,15 @@ def test_exit_code_parse_error_on_bad_file(capsys, tmp_path):
     assert code == EXIT_PARSE
 
 
+def test_exit_code_parse_error_on_non_ascii_file(capsys, tmp_path):
+    path = tmp_path / "accent.edges"
+    path.write_bytes(b"2 1\n1 2 \xc3\xa9\n")
+    code, _, err = run(capsys, "count", "--file", str(path))
+    assert code == EXIT_PARSE
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 def test_exit_code_parse_error_on_bad_family(capsys):
     code, _, err = run(capsys, "count", "--family", "heptagonal:3")
     assert code == EXIT_PARSE
@@ -177,6 +204,9 @@ def test_exit_code_method_unavailable(capsys):
     assert "bipartite" in err
     code, _, _ = run(capsys, "count", "--family", "complete:1", "--method", "schur")
     assert code == EXIT_METHOD
+    code, _, err = run(capsys, "verify", "--family", "complete:3", "--methods", "schur")
+    assert code == EXIT_METHOD
+    assert "bipartite" in err
 
 
 def test_exit_code_formula_needs_family(capsys, tmp_path):
@@ -191,6 +221,28 @@ def test_exit_code_oracle_too_large(capsys, monkeypatch):
     code, _, err = run(capsys, "count", "--family", "complete:5", "--method", "oracle")
     assert code == EXIT_ORACLE
     assert "guard" in err
+
+
+def test_negative_oracle_limit_rejected(capsys, monkeypatch):
+    monkeypatch.setenv("TREECOUNT_ORACLE_LIMIT", "-5")
+    for argv in (
+        ["count", "--family", "complete:3", "--method", "oracle"],
+        ["verify", "--family", "complete:3"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_PARSE
+        assert "TREECOUNT_ORACLE_LIMIT" in err
+        assert out == ""
+
+
+def test_zero_oracle_limit_allowed(capsys, monkeypatch, tmp_path):
+    # two isolated vertices: C(0, 1) = 0 subsets, so a zero guard still runs
+    path = tmp_path / "g.edges"
+    path.write_text("2 0\n")
+    monkeypatch.setenv("TREECOUNT_ORACLE_LIMIT", "0")
+    code, out, _ = run(capsys, "count", "--file", str(path), "--method", "oracle")
+    assert code == EXIT_OK
+    assert tau_from_text(out) == "0"
 
 
 def test_oracle_limit_env_override_allows_runs(capsys, monkeypatch):

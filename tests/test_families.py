@@ -274,3 +274,8 @@ def test_parse_family_graph_and_formula_dispatch():
 def test_parse_family_rejects_malformed_specs(spec):
     with pytest.raises(FamilySpecError):
         parse_family(spec)
+
+
+def test_family_rejects_unknown_kind():
+    with pytest.raises(FamilySpecError):
+        Family("bogus", ("dd",))

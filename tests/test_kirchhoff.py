@@ -19,7 +19,6 @@ from treecount import (
     gen_complete_bipartite,
     gen_ferrers,
     s_matrix,
-    schur_complement,
     tau,
     tau_bipartite_schur,
     tau_rank_one,
@@ -178,7 +177,8 @@ def test_s_matrix_isolated_column_vertex_rejected():
 
 def test_s_matrix_agrees_with_generic_schur_complement():
     # shift the Laplacian by the column-side/row-side outer product, then
-    # take the generic Schur complement of the trailing column block
+    # take the Schur complement A - B D^-1 C of the trailing column block;
+    # no edge joins two column vertices, so D is diag(column degrees)
     cases = [
         gen_complete_bipartite(2, 3),
         gen_complete_bipartite(3, 3),
@@ -192,7 +192,17 @@ def test_s_matrix_agrees_with_generic_schur_complement():
         u = [0] * m + [1] * len(bp.cols)
         v = [1] * m + [0] * len(bp.cols)
         shifted = add_outer_product(g.laplacian(), u, v)
-        assert schur_complement(shifted, m) == s_matrix(g, bp)
+        a = [row[:m] for row in shifted[:m]]
+        b = [row[m:] for row in shifted[:m]]
+        c = [row[:m] for row in shifted[m:]]
+        d = [row[m:] for row in shifted[m:]]
+        degrees = [g.degree(col) for col in bp.cols]
+        assert d == [[deg if k == t else 0 for k in range(len(d))] for t, deg in enumerate(degrees)]
+        schur = [
+            [a[i][j] - sum(Fraction(b[i][t] * c[t][j], degrees[t]) for t in range(len(d))) for j in range(m)]
+            for i in range(m)
+        ]
+        assert schur == s_matrix(g, bp)
 
 
 def test_tau_bipartite_schur_examples():

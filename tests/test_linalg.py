@@ -8,15 +8,12 @@ from treecount import (
     DimensionMismatchError,
     Graph,
     IndexOutOfRangeError,
-    SingularTrailingBlockError,
     add_outer_product,
     adjugate,
     det_int,
     det_perturbed,
     det_rat,
-    det_via_schur,
     minor_matrix,
-    schur_complement,
 )
 
 from conftest import DIAMOND_EDGES
@@ -196,60 +193,3 @@ def test_adjugate_product_identity(mv):
         for i in range(n)
     ]
     assert product == [[det if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def test_schur_complement_two_by_two():
-    # with a trailing 1x1 block this is the familiar a - b c / d
-    s = schur_complement([[3, 1], [2, 5]], 1)
-    assert s == [[Fraction(3) - Fraction(2) / 5]]
-
-
-def test_schur_complement_block_diagonal_left_block_unchanged():
-    m = [[1, 2, 0], [3, 4, 0], [0, 0, 7]]
-    assert schur_complement(m, 2) == [[1, 2], [3, 4]]
-
-
-def test_schur_complement_full_split_is_matrix_itself():
-    lap = Graph(4, DIAMOND_EDGES).laplacian()
-    m = add_outer_product(lap, [1] * 4, [1] * 4)
-    assert schur_complement(m, 4) == [[Fraction(x) for x in row] for row in m]
-
-
-def test_schur_complement_singular_trailing_block():
-    with pytest.raises(SingularTrailingBlockError):
-        schur_complement([[1, 2], [3, 0]], 1)
-    with pytest.raises(SingularTrailingBlockError):
-        det_via_schur([[1, 2], [3, 0]], 1)
-    singular_tail = [[5, 1, 1], [1, 1, 2], [1, 2, 4]]
-    with pytest.raises(SingularTrailingBlockError):
-        schur_complement(singular_tail, 1)
-
-
-def test_schur_complement_index_bounds():
-    with pytest.raises(IndexOutOfRangeError):
-        schur_complement(identity(2), 3)
-    with pytest.raises(IndexOutOfRangeError):
-        det_via_schur(identity(2), -1)
-
-
-def test_det_via_schur_examples():
-    lap = Graph(4, DIAMOND_EDGES).laplacian()
-    m = add_outer_product(lap, [1] * 4, [1] * 4)
-    assert det_via_schur(m, 2) == 128
-    assert det_via_schur([[3, 1], [2, 5]], 1) == 13
-    assert det_via_schur([[2, 0, 0], [0, 3, 0], [0, 0, 4]], 1) == 24
-
-
-@given(matrix_with_vectors())
-@settings(max_examples=100, deadline=None)
-def test_det_via_schur_agrees_with_det_int(mv):
-    m, _, _ = mv
-    n = len(m)
-    expected = det_int(m)
-    for k in range(n + 1):
-        trailing = [row[k:] for row in m[k:]]
-        if det_int(trailing) == 0:
-            with pytest.raises(SingularTrailingBlockError):
-                det_via_schur(m, k)
-        else:
-            assert det_via_schur(m, k) == expected

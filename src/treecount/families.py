@@ -234,18 +234,25 @@ def count_threshold(bits) -> int:
     """Spanning trees of the threshold graph of a creation sequence.
 
     For a connected graph this is prod_{i=2}^{t-1} (deg(v_i)+1) times
-    prod_{i=t+1}^{n} deg(v_i) over the canonical labelling; a sequence
-    whose graph is disconnected counts 0, matching tau.
+    prod_{i=t+1}^{n} deg(v_i) over the canonical labelling of gen_threshold,
+    where t = #d + 1 is the clique-prefix length.  Both come straight from
+    the sequence in O(n): a vertex added by 'd' at step s has degree s plus
+    the number of later 'd's, one added by 'i' only the later 'd's.  The
+    graph is disconnected exactly when the sequence ends in 'i', which
+    counts 0, matching tau.
     """
-    g = gen_threshold(bits)
-    if not g.is_connected():
+    text = _check_bits(bits)
+    if text.endswith(ISOLATED):
         return 0
-    t = threshold_t(g)
+    later = text.count(DOMINATING)  # 'd' steps after the current one
     result = 1
-    for i in range(2, t):
-        result *= g.degree(i) + 1
-    for i in range(t + 1, g.n + 1):
-        result *= g.degree(i)
+    for step, ch in enumerate(text, start=1):
+        if ch == DOMINATING:
+            later -= 1
+            if later:  # the last 'd' is vertex 1, outside the product
+                result *= step + later + 1
+        else:
+            result *= later
     return result
 
 

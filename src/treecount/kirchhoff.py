@@ -163,7 +163,11 @@ def tau_bipartite_schur(g: Graph, bp: Bipartition) -> int:
 def tau(g: Graph) -> int:
     """Number of spanning trees of g.
 
-    Dispatches to the all-ones rank-one route, which requires no index
-    choices and agrees exactly with every other method.
+    Uses the matrix that keeps g's sparsity, so the determinant kernel can
+    exploit it: the reduced Laplacian with row and column 1 deleted when g
+    has at most half of all possible edges, else L + J = nI - L(complement),
+    which follows the sparser complement.
     """
+    if len(g.edges) <= g.n * (g.n - 1) // 4:
+        return tau_reduced(g, 1, 1)
     return tau_temperley(g)

@@ -2,6 +2,7 @@ import random
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treecount import (
     Family,
@@ -21,6 +22,8 @@ from treecount import (
     gen_ferrers,
     gen_threshold,
     parse_family,
+    families,
+    tau,
     tau_temperley,
     threshold_t,
 )
@@ -222,6 +225,31 @@ def test_count_threshold():
     assert count_threshold("iid") == 1  # a star is a tree
     assert count_threshold("di") == 0  # trailing isolated vertex disconnects
     assert count_threshold("") == 1
+
+
+@given(st.text(alphabet="di", max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_count_threshold_matches_tau_and_graph_formula(bits):
+    g = gen_threshold(bits)
+    expected = tau(g)
+    assert count_threshold(bits) == expected
+    if g.is_connected():
+        # the same product read off the built graph, with t from threshold_t
+        t = threshold_t(g)
+        product = 1
+        for i in range(2, t):
+            product *= g.degree(i) + 1
+        for i in range(t + 1, g.n + 1):
+            product *= g.degree(i)
+        assert product == expected
+
+
+def test_threshold_formula_does_not_build_the_graph(monkeypatch):
+    def fail(bits):
+        raise AssertionError("count_threshold built the graph")
+
+    monkeypatch.setattr(families, "gen_threshold", fail)
+    assert parse_family("threshold:ididd").formula_count() == 180
 
 
 def test_closed_forms_match_determinant_count():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -14,6 +15,14 @@ from treecount import (
     det_perturbed,
     det_rat,
     minor_matrix,
+)
+from treecount import linalg
+from treecount.linalg import (
+    MERSENNE_EXPONENTS,
+    _det_bareiss,
+    _det_modular,
+    _hadamard_bound,
+    _mersenne_above,
 )
 
 from conftest import DIAMOND_EDGES
@@ -193,3 +202,115 @@ def test_adjugate_product_identity(mv):
         for i in range(n)
     ]
     assert product == [[det if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def sparse_rows(m):
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
+
+
+def det_modular(m):
+    """_det_modular with the prime det_int would pick for m."""
+    rows = sparse_rows(m)
+    return _det_modular(rows, _mersenne_above(2 * _hadamard_bound(rows)))
+
+
+@st.composite
+def degenerate_matrices(draw):
+    """Square matrices, some made singular by a zero row or a repeated row."""
+    m = draw(square_matrices)
+    if len(m) >= 2:
+        kind = draw(st.sampled_from(["none", "zero", "repeat"]))
+        if kind == "zero":
+            m[0] = [0] * len(m)
+        elif kind == "repeat":
+            m[0] = list(m[1])
+    return m
+
+
+@given(degenerate_matrices())
+@settings(max_examples=300, deadline=None)
+def test_det_modular_matches_naive_expansion(m):
+    assert det_modular(m) == det_naive(m)
+
+
+@given(degenerate_matrices(), st.sampled_from([2, 3, 5, 7]))
+@settings(max_examples=300, deadline=None)
+def test_det_modular_residue_for_small_mersenne_primes(m, e):
+    # With a tiny prime, many stored entries are 0 mod p without being 0,
+    # so pivots must be reduced before use; the result is still det mod p.
+    p = (1 << e) - 1
+    residue = _det_modular(sparse_rows(m), p)
+    assert (residue - det_naive(m)) % p == 0
+    assert abs(residue) <= p // 2
+
+
+@given(st.integers(20, 60), st.integers(2, 4), st.integers(0, 2**32))
+@settings(max_examples=25, deadline=None)
+def test_det_modular_matches_bareiss_on_sparse_nonsymmetric(n, per_row, seed):
+    rng = random.Random(seed)
+    m = [[0] * n for _ in range(n)]
+    for row in m:
+        for j in rng.sample(range(n), per_row):
+            row[j] = rng.randint(-(10**9), 10**9)
+        row[rng.randrange(n)] = rng.randint(1, 10**9)  # keeps most matrices nonsingular
+    assert det_modular(m) == _det_bareiss(m)
+
+
+def test_mersenne_above():
+    assert _mersenne_above(0) == 2**61 - 1
+    assert _mersenne_above(2**61 - 2) == 2**61 - 1
+    assert _mersenne_above(2**61 - 1) == 2**89 - 1
+    assert _mersenne_above(2**130) == 2**521 - 1
+    assert _mersenne_above(2 ** MERSENNE_EXPONENTS[-1]) is None
+
+
+def test_hadamard_bound_covers_determinant():
+    m = [[3, -1, 0], [-1, 3, -1], [0, -1, 3]]
+    assert abs(det_int(m)) <= _hadamard_bound(sparse_rows(m)) - 1
+    assert _hadamard_bound(sparse_rows([[0, 0], [1, 1]])) == 1
+
+
+def spy_kernels(monkeypatch):
+    """Record, in order, the names of the kernels det_int calls."""
+    used = []
+
+    def spy(name):
+        real = getattr(linalg, name)
+
+        def kernel(*args):
+            used.append(name)
+            return real(*args)
+
+        return kernel
+
+    for name in ("_det_bareiss", "_det_modular"):
+        monkeypatch.setattr(linalg, name, spy(name))
+    return used
+
+
+def test_det_int_kernel_choice(monkeypatch):
+    used = spy_kernels(monkeypatch)
+    cycle = Graph(150, [(i, i % 150 + 1) for i in range(1, 151)]).laplacian()
+    assert det_int(minor_matrix(cycle, 1, 1)) == 150
+    ones = [1] * 150
+    assert det_int(add_outer_product(cycle, ones, ones)) == 150**3
+    assert det_int(identity(9)) == 1
+    assert used == ["_det_modular", "_det_bareiss", "_det_bareiss"]
+
+
+def test_det_int_falls_back_when_bound_exceeds_largest_prime(monkeypatch):
+    # 1500-bit entries on 30 rows give a Hadamard bound of about 45000 bits,
+    # above the largest tabled Mersenne prime, so Bareiss must run.
+    used = spy_kernels(monkeypatch)
+    rng = random.Random(7)
+    n = linalg.SPARSE_MIN_ORDER
+    m = [[0] * n for _ in range(n)]
+    expected = 1
+    for i in range(n):
+        m[i][i] = rng.getrandbits(1500) | 1 << 1499
+        expected *= m[i][i]
+        if i:
+            m[i][i - 1] = rng.getrandbits(1500)  # lower bidiagonal
+    assert _mersenne_above(2 * _hadamard_bound(sparse_rows(m))) is None
+    assert det_int(m) == expected
+    assert used == ["_det_bareiss"]

@@ -1,0 +1,99 @@
+"""Metamorphic properties of tau at sizes where det_int takes its modular
+kernel: sparse random graphs on 31-60 vertices.  Each property reads
+tau_reduced (a sparse minor, so the modular kernel) against tau_temperley
+(L + J, dense for these graphs, so Bareiss), so a fault shared by every
+determinant route, or one in either kernel, breaks an identity that does
+not depend on any one method."""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from treecount import Graph, linalg, minor_matrix, tau_reduced, tau_temperley
+
+SEEDS = st.integers(0, 2**32)
+SIZES = st.integers(linalg.SPARSE_MIN_ORDER + 1, 60)
+# two parts that make a graph of at least SPARSE_MIN_ORDER + 1 vertices
+PARTS = st.integers(16, 30)
+
+
+def sparse_connected_graph(rng: random.Random, n: int) -> Graph:
+    """Random spanning tree plus about n extra edges: connected, average
+    degree about 4."""
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    edges = {tuple(sorted((order[i], order[rng.randrange(i)]))) for i in range(1, n)}
+    while len(edges) < 2 * n - 1:
+        i, j = rng.sample(range(1, n + 1), 2)
+        edges.add((min(i, j), max(i, j)))
+    return Graph(n, edges)
+
+
+def reduced_by_modular_kernel(g: Graph) -> int:
+    """tau_reduced(g, 1, 1), checking first that det_int takes the modular
+    kernel for its minor."""
+    minor = minor_matrix(g.laplacian(), 1, 1)
+    nnz = sum(1 for row in minor for x in row if x)
+    assert len(minor) >= linalg.SPARSE_MIN_ORDER
+    assert nnz <= linalg.SPARSE_MAX_PER_ROW * len(minor)
+    return tau_reduced(g, 1, 1)
+
+
+def shifted(edges, offset):
+    return [(i + offset, j + offset) for i, j in edges]
+
+
+@given(SIZES, SEEDS)
+@settings(max_examples=15, deadline=None)
+def test_relabelling_invariance(n, seed):
+    rng = random.Random(seed)
+    g = sparse_connected_graph(rng, n)
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    h = Graph(n, [(perm[i - 1], perm[j - 1]) for i, j in g.edges])
+    assert reduced_by_modular_kernel(h) == reduced_by_modular_kernel(g) == tau_temperley(g)
+
+
+@given(SIZES, SEEDS)
+@settings(max_examples=15, deadline=None)
+def test_pendant_vertex_leaves_tau_unchanged(n, seed):
+    rng = random.Random(seed)
+    g = sparse_connected_graph(rng, n)
+    h = Graph(n + 1, [*g.edges, (rng.randint(1, n), n + 1)])
+    assert reduced_by_modular_kernel(h) == tau_temperley(g)
+
+
+@given(PARTS, PARTS, SEEDS)
+@settings(max_examples=15, deadline=None)
+def test_gluing_at_cut_vertex_multiplies(a, b, seed):
+    rng = random.Random(seed)
+    first, second = sparse_connected_graph(rng, a), sparse_connected_graph(rng, b)
+    # vertex a of the first graph is identified with vertex 1 of the second
+    glued = Graph(a + b - 1, [*first.edges, *shifted(second.edges, a - 1)])
+    assert reduced_by_modular_kernel(glued) == tau_temperley(first) * tau_temperley(second)
+
+
+@given(SIZES, SEEDS)
+@settings(max_examples=15, deadline=None)
+def test_degree_product_bound(n, seed):
+    g = sparse_connected_graph(random.Random(seed), n)
+    bound = 1
+    for v in range(2, n + 1):
+        bound *= g.degree(v)
+    value = reduced_by_modular_kernel(g)
+    assert value == tau_temperley(g)
+    assert 0 < value <= bound
+
+
+@given(PARTS, PARTS, SEEDS)
+@settings(max_examples=15, deadline=None)
+def test_disconnected_graph_counts_zero(a, b, seed):
+    rng = random.Random(seed)
+    first, second = sparse_connected_graph(rng, a), sparse_connected_graph(rng, b)
+    g = Graph(a + b, [*first.edges, *shifted(second.edges, a)])
+    assert reduced_by_modular_kernel(g) == tau_temperley(g) == 0
+
+
+def test_long_cycle():
+    cycle = Graph(150, [(i, i % 150 + 1) for i in range(1, 151)])
+    assert reduced_by_modular_kernel(cycle) == tau_reduced(cycle, 75, 3) == 150

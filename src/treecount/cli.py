@@ -65,10 +65,10 @@ def _load_input(args) -> tuple[Graph, families.Family | None]:
 
 
 def _schur(g: Graph, fam, limit: int) -> int:
-    bp = kirchhoff.find_bipartition(g)
-    if bp is None or not bp.rows or not bp.cols:
-        raise MethodUnavailableError("schur needs a bipartite graph with two nonempty sides")
-    return kirchhoff.tau_bipartite_schur(g, bp)
+    try:
+        return kirchhoff.tau_bipartite_schur(g)
+    except kirchhoff.NotBipartitionError:
+        raise MethodUnavailableError("schur needs a bipartite graph with two nonempty sides") from None
 
 
 def _formula(g: Graph, fam: families.Family | None, limit: int) -> int:

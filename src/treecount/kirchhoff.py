@@ -125,9 +125,14 @@ def s_matrix(g: Graph, bp: Bipartition) -> linalg.RatMatrix:
     Entry (r,r) is deg(r); entry (r,r') for r != r' is the sum of 1/deg(c)
     over columns c adjacent to r but not to r'.  The diagonal needs no
     correction term because the corresponding correction matrix has zero
-    diagonal.
+    diagonal.  bp is checked with `check_bipartition` first.
     """
     check_bipartition(g, bp)
+    return _s_matrix_unchecked(g, bp)
+
+
+def _s_matrix_unchecked(g: Graph, bp: Bipartition) -> linalg.RatMatrix:
+    """`s_matrix` for a bp already known to be a bipartition of g."""
     for c in bp.cols:
         if g.degree(c) == 0:
             raise IsolatedColumnVertexError(f"column vertex {c} has degree 0")
@@ -144,13 +149,24 @@ def s_matrix(g: Graph, bp: Bipartition) -> linalg.RatMatrix:
     return out
 
 
-def tau_bipartite_schur(g: Graph, bp: Bipartition) -> int:
+def tau_bipartite_schur(g: Graph, bp: Bipartition | None = None) -> int:
     """Count spanning trees of a bipartite graph from its reduction matrix:
-    (prod of column degrees) * det(S) / (|rows| * |cols|)."""
+    (prod of column degrees) * det(S) / (|rows| * |cols|).
+
+    A given bp is checked with `check_bipartition`; without one, the
+    bipartition comes from `find_bipartition`, and a graph with an odd
+    cycle raises NotBipartitionError.
+    """
+    if bp is None:
+        bp = find_bipartition(g)
+        if bp is None:
+            raise NotBipartitionError("graph has an odd cycle")
+    else:
+        check_bipartition(g, bp)
     m, n = len(bp.rows), len(bp.cols)
     if m == 0 or n == 0:
         raise NotBipartitionError("both sides must be nonempty")
-    s = s_matrix(g, bp)
+    s = _s_matrix_unchecked(g, bp)
     deg_product = 1
     for c in bp.cols:
         deg_product *= g.degree(c)

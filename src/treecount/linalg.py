@@ -18,6 +18,17 @@ Integer determinants (`det_int`) have two exact kernels:
 `det_int` picks the kernel from the matrix alone: the modular one for order
 at least SPARSE_MIN_ORDER and at most SPARSE_MAX_PER_ROW nonzeros per row
 on average, when H fits under the largest tabled prime; Bareiss otherwise.
+
+A rank-one update has a second matrix with the same determinant.  The
+bordered matrix B = [[M, u], [-v^T, 1]] of order n + 1 has the Schur
+complement M + u v^T on its trailing 1, so det B = det(M + u v^T) (the
+matrix determinant lemma), and B holds only nnz(M) + nnz(u) + nnz(v) + 1
+nonzeros.  `det_perturbed` hands `det_int` the bordered matrix whenever
+the shape rule sends B to the modular kernel, and M + u v^T otherwise: L + J
+of a sparse graph, zero only at its 2m edge entries, then takes the modular
+kernel on L plus one dense row and column, while L + J = nI - L(complement)
+of a dense graph stays unbordered.
+
 Rational work (the bipartite reduction matrix) uses Fraction, which keeps
 entries normalized with positive denominators.
 
@@ -76,14 +87,24 @@ def det_int(m: Sequence[Sequence[int]]) -> int:
     determinant 1 (empty product).
     """
     n = _square_size(m)
-    nonzeros = n * n - sum(row.count(0) for row in m)
-    if n < SPARSE_MIN_ORDER or nonzeros > SPARSE_MAX_PER_ROW * n:
+    if not _is_sparse(n, _nonzeros(m)):
         return _det_bareiss(m)
     rows = [{j: x for j, x in enumerate(row) if x} for row in m]
     p = _mersenne_above(2 * _hadamard_bound(rows))
     if p is None:
         return _det_bareiss(m)
     return _det_modular(rows, p)
+
+
+def _is_sparse(order: int, nonzeros: int) -> bool:
+    """det_int's shape rule: whether a matrix of this order with this many
+    nonzero entries goes to the modular kernel (when its Hadamard bound
+    fits under the largest tabled prime)."""
+    return order >= SPARSE_MIN_ORDER and nonzeros <= SPARSE_MAX_PER_ROW * order
+
+
+def _nonzeros(m: Sequence[Sequence[int]]) -> int:
+    return sum(len(row) - row.count(0) for row in m)
 
 
 def _hadamard_bound(rows: Sequence[dict[int, int]]) -> int:
@@ -258,7 +279,21 @@ def add_outer_product(
 def det_perturbed(
     m: Sequence[Sequence[int]], u: Sequence[int], v: Sequence[int]
 ) -> int:
-    """det(M + u v^T), computed directly on the perturbed matrix."""
+    """det(M + u v^T) for an n x n matrix and length-n vectors.
+
+    `det_int` gets one of two matrices with this determinant: M + u v^T,
+    or the bordered matrix [[M, u], [-v^T, 1]] of order n + 1, whose Schur
+    complement on the trailing 1 is M + u v^T.  The bordered one is used
+    whenever det_int's shape rule sends it to the modular kernel, as for
+    L + J of a sparse graph.
+    """
+    n = _square_size(m)
+    if len(u) != n or len(v) != n:
+        raise DimensionMismatchError(f"vector lengths {len(u)}, {len(v)} do not match n={n}")
+    if _is_sparse(n + 1, _nonzeros(m) + (n - u.count(0)) + (n - v.count(0)) + 1):
+        bordered = [[*row, x] for row, x in zip(m, u)]
+        bordered.append([-x for x in v] + [1])
+        return det_int(bordered)
     return det_int(add_outer_product(m, u, v))
 
 

@@ -92,6 +92,45 @@ def test_verify_family_agreement(capsys):
         assert method in out
 
 
+def test_schur_finds_the_bipartition_once_and_does_not_recheck_it(capsys, monkeypatch):
+    calls = []
+    for name in ("find_bipartition", "check_bipartition"):
+        real = getattr(cli.kirchhoff, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(cli.kirchhoff, name, counted)
+    code, out, _ = run(capsys, "verify", "--family", "ferrers:4,4,3,2,1")
+    assert code == EXIT_OK
+    assert "all methods agree: tau = 576" in out
+    assert calls == ["find_bipartition"]
+
+
+def write_edges(path, n, edges):
+    path.write_text(f"{n} {len(edges)}\n" + "".join(f"{i} {j}\n" for i, j in edges))
+    return str(path)
+
+
+def count_json(capsys, path, method):
+    code, out, _ = run(capsys, "count", "--file", path, "--method", method, "--json")
+    assert code == EXIT_OK
+    return json.loads(out)["tau"]
+
+
+def test_temperley_on_sparse_files_matches_reduced(capsys, tmp_path):
+    # L + J of these graphs is dense, so temperley goes through the bordered
+    # matrix and the sparse kernel
+    cycle = write_edges(tmp_path / "cycle.edges", 150, [(i, i % 150 + 1) for i in range(1, 151)])
+    assert count_json(capsys, cycle, "temperley") == count_json(capsys, cycle, "reduced") == "150"
+    side = 12
+    grid_edges = [(r * side + c + 1, r * side + c + 2) for r in range(side) for c in range(side - 1)]
+    grid_edges += [(r * side + c + 1, (r + 1) * side + c + 1) for r in range(side - 1) for c in range(side)]
+    grid = write_edges(tmp_path / "grid.edges", side * side, grid_edges)
+    assert count_json(capsys, grid, "temperley") == count_json(capsys, grid, "reduced")
+
+
 def verify_methods(out):
     lines = out.splitlines()
     assert lines[0].startswith("method")

@@ -219,6 +219,29 @@ def test_tau_bipartite_schur_empty_side_rejected():
     g = build_graph(1, [])
     with pytest.raises(NotBipartitionError):
         tau_bipartite_schur(g, Bipartition((1,), ()))
+    with pytest.raises(NotBipartitionError):
+        tau_bipartite_schur(g)
+
+
+def test_tau_bipartite_schur_finds_the_bipartition_when_none_given():
+    assert tau_bipartite_schur(gen_ferrers([4, 4, 3, 2, 1])) == 576
+    assert tau_bipartite_schur(gen_complete_bipartite(2, 3)) == 12
+    with pytest.raises(NotBipartitionError):
+        tau_bipartite_schur(gen_complete(3))  # odd cycle
+
+
+def test_tau_bipartite_schur_and_s_matrix_check_a_given_bipartition():
+    square = build_graph(4, [(1, 3), (1, 4), (2, 3), (2, 4)])
+    assert tau_bipartite_schur(square, Bipartition((1, 2), (3, 4))) == 4
+    for bad in [
+        Bipartition((1, 3), (2, 4)),  # edge inside a side
+        Bipartition((1, 2), (3,)),  # does not cover
+        Bipartition((1, 2, 3), (3, 4)),  # overlap
+    ]:
+        with pytest.raises(NotBipartitionError):
+            tau_bipartite_schur(square, bad)
+        with pytest.raises(NotBipartitionError):
+            s_matrix(square, bad)
 
 
 def test_method_agreement_on_random_corpus(diamond):

@@ -25,7 +25,7 @@ from treecount.linalg import (
     _mersenne_above,
 )
 
-from conftest import DIAMOND_EDGES
+from conftest import DIAMOND_EDGES, random_graph
 
 
 def det_naive(m):
@@ -314,3 +314,76 @@ def test_det_int_falls_back_when_bound_exceeds_largest_prime(monkeypatch):
     assert _mersenne_above(2 * _hadamard_bound(sparse_rows(m))) is None
     assert det_int(m) == expected
     assert used == ["_det_bareiss"]
+
+
+@st.composite
+def sparse_rank_one_updates(draw):
+    """(M, u, v): sparse integer M of order 25-60, and vectors that are
+    dense, sparse or all zero, with zero entries among the dense ones."""
+    n = draw(st.integers(25, 60))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    big = 10**6
+    m = [[0] * n for _ in range(n)]
+    for i, row in enumerate(m):
+        for j in rng.sample(range(n), rng.randint(1, 4)):
+            row[j] = rng.randint(-big, big)
+        row[i] = rng.randint(1, big)
+
+    def vector(kind):
+        if kind == "zero":
+            return [0] * n
+        if kind == "sparse":
+            vec = [0] * n
+            for j in rng.sample(range(n), 3):
+                vec[j] = rng.randint(-big, big)
+            return vec
+        return [rng.randint(-big, big) if rng.random() < 0.75 else 0 for _ in range(n)]
+
+    kinds = st.sampled_from(["dense", "dense", "sparse", "zero"])
+    return m, vector(draw(kinds)), vector(draw(kinds))
+
+
+@given(sparse_rank_one_updates())
+@settings(max_examples=25, deadline=None)
+def test_det_perturbed_matches_bareiss_on_sparse_updates(muv):
+    m, u, v = muv
+    assert det_perturbed(m, u, v) == _det_bareiss(add_outer_product(m, u, v))
+
+
+def test_det_perturbed_matrix_and_kernel_choice(monkeypatch):
+    """Which matrix det_perturbed hands det_int (order n + 1 means the
+    bordered one), and which kernel det_int then runs, for L + J."""
+    rng = random.Random(11)
+    graphs = {
+        "150-cycle": Graph(150, [(i, i % 150 + 1) for i in range(1, 151)]),
+        "G(60, 0.97)": random_graph(rng, 60, 0.97),
+        "K40": random_graph(rng, 40, 1.0),
+        "G(40, 0.3)": random_graph(rng, 40, 0.3),
+        "K8": random_graph(rng, 8, 1.0),
+    }
+    taus = {name: _det_bareiss(minor_matrix(g.laplacian(), 1, 1)) for name, g in graphs.items()}
+    used = spy_kernels(monkeypatch)
+    orders = []
+    real_det_int = linalg.det_int
+
+    def det_int_spy(m):
+        orders.append(len(m))
+        return real_det_int(m)
+
+    monkeypatch.setattr(linalg, "det_int", det_int_spy)
+    choices = {}
+    for name, g in graphs.items():
+        ones = [1] * g.n
+        assert det_perturbed(g.laplacian(), ones, ones) == g.n**2 * taus[name]
+        bordered = orders == [g.n + 1]
+        assert bordered or orders == [g.n]
+        choices[name] = (bordered, used[:])
+        orders.clear()
+        used.clear()
+    assert choices == {
+        "150-cycle": (True, ["_det_modular"]),
+        "G(60, 0.97)": (False, ["_det_modular"]),
+        "K40": (False, ["_det_modular"]),
+        "G(40, 0.3)": (False, ["_det_bareiss"]),
+        "K8": (False, ["_det_bareiss"]),
+    }

@@ -1,11 +1,14 @@
 """Metamorphic properties of tau at sizes where det_int takes its modular
 kernel: sparse random graphs on 31-60 vertices.  Each property reads
-tau_reduced (a sparse minor, so the modular kernel) against tau_temperley
-(L + J, dense for these graphs, so Bareiss), so a fault shared by every
-determinant route, or one in either kernel, breaks an identity that does
-not depend on any one method."""
+tau_reduced (a sparse minor) and tau_temperley (L + J, which det_perturbed
+hands to det_int as the bordered matrix [[L, 1], [-1^T, 1]]), both on the
+modular kernel, against tau from a Laplacian minor by Bareiss elimination.
+So a fault shared by every determinant route, or one in either kernel or
+in the bordering, breaks an identity that does not depend on any one
+method."""
 
 import random
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -29,14 +32,35 @@ def sparse_connected_graph(rng: random.Random, n: int) -> Graph:
     return Graph(n, edges)
 
 
+def det_int_inputs(count, g: Graph) -> tuple[int, list]:
+    """count(g), and the matrices det_int received while computing it."""
+    with mock.patch.object(linalg, "det_int", wraps=linalg.det_int) as spy:
+        value = count(g)
+    return value, [call.args[0] for call in spy.call_args_list]
+
+
 def reduced_by_modular_kernel(g: Graph) -> int:
-    """tau_reduced(g, 1, 1), checking first that det_int takes the modular
-    kernel for its minor."""
-    minor = minor_matrix(g.laplacian(), 1, 1)
-    nnz = sum(1 for row in minor for x in row if x)
-    assert len(minor) >= linalg.SPARSE_MIN_ORDER
-    assert nnz <= linalg.SPARSE_MAX_PER_ROW * len(minor)
-    return tau_reduced(g, 1, 1)
+    """tau_reduced(g, 1, 1), checking that det_int received the order n - 1
+    minor and that its shape rule sends it to the modular kernel."""
+    value, matrices = det_int_inputs(lambda h: tau_reduced(h, 1, 1), g)
+    assert [len(m) for m in matrices] == [g.n - 1]
+    assert linalg._is_sparse(g.n - 1, linalg._nonzeros(matrices[0]))
+    return value
+
+
+def temperley_by_bordered_matrix(g: Graph) -> int:
+    """tau_temperley(g), checking that det_int received the bordered L + J
+    of order n + 1 and that its shape rule sends it to the modular kernel."""
+    value, matrices = det_int_inputs(tau_temperley, g)
+    assert [len(m) for m in matrices] == [g.n + 1]
+    assert linalg._is_sparse(g.n + 1, linalg._nonzeros(matrices[0]))
+    return value
+
+
+def tau_by_bareiss(g: Graph) -> int:
+    """tau(g) from the Laplacian minor without row and column 1, by Bareiss
+    elimination whatever the matrix: the reference side of each property."""
+    return linalg._det_bareiss(minor_matrix(g.laplacian(), 1, 1))
 
 
 def shifted(edges, offset):
@@ -51,7 +75,8 @@ def test_relabelling_invariance(n, seed):
     perm = list(range(1, n + 1))
     rng.shuffle(perm)
     h = Graph(n, [(perm[i - 1], perm[j - 1]) for i, j in g.edges])
-    assert reduced_by_modular_kernel(h) == reduced_by_modular_kernel(g) == tau_temperley(g)
+    assert reduced_by_modular_kernel(h) == reduced_by_modular_kernel(g) == tau_by_bareiss(g)
+    assert temperley_by_bordered_matrix(h) == tau_by_bareiss(h)
 
 
 @given(SIZES, SEEDS)
@@ -60,7 +85,7 @@ def test_pendant_vertex_leaves_tau_unchanged(n, seed):
     rng = random.Random(seed)
     g = sparse_connected_graph(rng, n)
     h = Graph(n + 1, [*g.edges, (rng.randint(1, n), n + 1)])
-    assert reduced_by_modular_kernel(h) == tau_temperley(g)
+    assert reduced_by_modular_kernel(h) == temperley_by_bordered_matrix(h) == tau_by_bareiss(g)
 
 
 @given(PARTS, PARTS, SEEDS)
@@ -70,7 +95,8 @@ def test_gluing_at_cut_vertex_multiplies(a, b, seed):
     first, second = sparse_connected_graph(rng, a), sparse_connected_graph(rng, b)
     # vertex a of the first graph is identified with vertex 1 of the second
     glued = Graph(a + b - 1, [*first.edges, *shifted(second.edges, a - 1)])
-    assert reduced_by_modular_kernel(glued) == tau_temperley(first) * tau_temperley(second)
+    expected = tau_by_bareiss(first) * tau_by_bareiss(second)
+    assert reduced_by_modular_kernel(glued) == temperley_by_bordered_matrix(glued) == expected
 
 
 @given(SIZES, SEEDS)
@@ -81,7 +107,7 @@ def test_degree_product_bound(n, seed):
     for v in range(2, n + 1):
         bound *= g.degree(v)
     value = reduced_by_modular_kernel(g)
-    assert value == tau_temperley(g)
+    assert value == temperley_by_bordered_matrix(g) == tau_by_bareiss(g)
     assert 0 < value <= bound
 
 
@@ -91,9 +117,10 @@ def test_disconnected_graph_counts_zero(a, b, seed):
     rng = random.Random(seed)
     first, second = sparse_connected_graph(rng, a), sparse_connected_graph(rng, b)
     g = Graph(a + b, [*first.edges, *shifted(second.edges, a)])
-    assert reduced_by_modular_kernel(g) == tau_temperley(g) == 0
+    assert reduced_by_modular_kernel(g) == temperley_by_bordered_matrix(g) == tau_by_bareiss(g) == 0
 
 
 def test_long_cycle():
     cycle = Graph(150, [(i, i % 150 + 1) for i in range(1, 151)])
     assert reduced_by_modular_kernel(cycle) == tau_reduced(cycle, 75, 3) == 150
+    assert temperley_by_bordered_matrix(cycle) == tau_by_bareiss(cycle) == 150

@@ -15,19 +15,21 @@ Integer determinants (`det_int`) have two exact kernels:
   Laplacian is the paper's Schur-complement step (star-mesh reduction), and
   the minimum-degree order keeps the fill of sparse graphs small.
 
-`det_int` picks the kernel from the matrix alone: the modular one for order
-at least SPARSE_MIN_ORDER and at most SPARSE_MAX_PER_ROW nonzeros per row
-on average, when H fits under the largest tabled prime; Bareiss otherwise.
+`det_int` picks the kernel from the matrix's order and nonzero count: the
+modular one for order at least SPARSE_MIN_ORDER and at most
+SPARSE_MAX_PER_ROW nonzeros per row on average, when H fits under the
+largest tabled prime; Bareiss otherwise.
 
 A rank-one update has a second matrix with the same determinant.  The
 bordered matrix B = [[M, u], [-v^T, 1]] of order n + 1 has the Schur
 complement M + u v^T on its trailing 1, so det B = det(M + u v^T) (the
 matrix determinant lemma), and B holds only nnz(M) + nnz(u) + nnz(v) + 1
 nonzeros.  `det_perturbed` hands `det_int` the bordered matrix whenever
-the shape rule sends B to the modular kernel, and M + u v^T otherwise: L + J
-of a sparse graph, zero only at its 2m edge entries, then takes the modular
-kernel on L plus one dense row and column, while L + J = nI - L(complement)
-of a dense graph stays unbordered.
+the shape rule, counting the nonzeros of M alone at order n + 1, sends B to
+the modular kernel, and M + u v^T otherwise: L + J of a sparse graph, zero
+only at its 2m edge entries, then takes the modular kernel on L plus one
+dense row and column, while L + J = nI - L(complement) of a dense graph
+stays unbordered.
 
 Rational work (the bipartite reduction matrix) uses Fraction, which keeps
 entries normalized with positive denominators.
@@ -79,15 +81,17 @@ def _square_size(m: Sequence[Sequence]) -> int:
     return n
 
 
-def det_int(m: Sequence[Sequence[int]]) -> int:
+def det_int(m: Sequence[Sequence[int]], *, nonzeros: int | None = None) -> int:
     """Exact determinant of a square integer matrix.
 
     Large sparse matrices go to the modular kernel, all others to Bareiss
-    elimination (see the module docstring).  The 0x0 matrix has
-    determinant 1 (empty product).
+    elimination (see the module docstring).  The shape rule counts the
+    nonzero entries of m, or takes `nonzeros` in their place when given:
+    det_perturbed passes the count of M alone for its bordered matrix.  The
+    0x0 matrix has determinant 1 (empty product).
     """
     n = _square_size(m)
-    if not _is_sparse(n, _nonzeros(m)):
+    if not _is_sparse(n, _nonzeros(m) if nonzeros is None else nonzeros):
         return _det_bareiss(m)
     rows = [{j: x for j, x in enumerate(row) if x} for row in m]
     p = _mersenne_above(2 * _hadamard_bound(rows))
@@ -284,16 +288,20 @@ def det_perturbed(
     `det_int` gets one of two matrices with this determinant: M + u v^T,
     or the bordered matrix [[M, u], [-v^T, 1]] of order n + 1, whose Schur
     complement on the trailing 1 is M + u v^T.  The bordered one is used
-    whenever det_int's shape rule sends it to the modular kernel, as for
-    L + J of a sparse graph.
+    whenever det_int's shape rule, judging M's nonzeros at order n + 1,
+    sends it to the modular kernel, as for L + J of a sparse graph.  The
+    border's own 2n + 1 entries are not counted: Markowitz order leaves the
+    dense last row for the end, and a dense row and column cost about one
+    update of that row per pivot, not fill in M.
     """
     n = _square_size(m)
     if len(u) != n or len(v) != n:
         raise DimensionMismatchError(f"vector lengths {len(u)}, {len(v)} do not match n={n}")
-    if _is_sparse(n + 1, _nonzeros(m) + (n - u.count(0)) + (n - v.count(0)) + 1):
+    nonzeros = _nonzeros(m)
+    if _is_sparse(n + 1, nonzeros):
         bordered = [[*row, x] for row, x in zip(m, u)]
         bordered.append([-x for x in v] + [1])
-        return det_int(bordered)
+        return det_int(bordered, nonzeros=nonzeros)
     return det_int(add_outer_product(m, u, v))
 
 

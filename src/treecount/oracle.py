@@ -5,13 +5,21 @@ subsets, and the deletion-contraction recurrence on a multigraph.  Neither
 touches the linear algebra, so a determinant bug cannot validate itself.
 Both are desk-scale by design; the subset oracle refuses oversized inputs
 outright rather than silently skipping.
+
+The recurrence splits a whole bundle at a time: for the k parallel copies
+of an edge ab, every spanning tree uses none of them or exactly one, so
+tau(G) = tau(G - all k copies) + k * tau(G / ab).  Before each split it
+strips pendant vertices, found with a queue: a vertex whose only bundle has
+k copies is joined to the tree by one of them, a factor of k, and a vertex
+with no bundle left (other than the last one) leaves no spanning tree.  The
+recurrence is linear, so it runs on an explicit stack of weighted states,
+as the subset scan does: neither oracle depends on Python's recursion limit.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -62,7 +70,10 @@ def tau_subsets(g: Graph, limit: int = DEFAULT_SUBSET_LIMIT) -> int:
 
     Equivalent to testing every subset with is_spanning_tree, implemented
     as a backtracking scan that abandons a branch as soon as a chosen edge
-    closes a cycle.  Refuses to run when C(|E|, n-1) exceeds `limit`.
+    closes a cycle.  Each edge is first taken, when it joins two
+    union-find components, and then skipped; the taken edges form an
+    explicit stack of undo records.  Refuses to run when C(|E|, n-1)
+    exceeds `limit`.
     """
     n = g.n
     edges = sorted(g.edges)
@@ -71,100 +82,127 @@ def tau_subsets(g: Graph, limit: int = DEFAULT_SUBSET_LIMIT) -> int:
         raise OracleTooLargeError(
             f"C({len(edges)},{need}) exceeds the subset guard of {limit}"
         )
-    if need == 0:
-        return 1
     total_edges = len(edges)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), total_edges + 100))
     parent = list(range(n + 1))
     size = [1] * (n + 1)
+    taken: list[tuple[int, int, int]] = []  # (edge index, new root, merged root)
     count = 0
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def scan(idx: int, chosen: int) -> None:
-        nonlocal count
+    idx = 0
+    while True:
+        chosen = len(taken)
+        if chosen < need and total_edges - idx >= need - chosen:
+            a, b = edges[idx]
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a != b:
+                if size[a] < size[b]:
+                    a, b = b, a
+                parent[b] = a
+                size[a] += size[b]
+                taken.append((idx, a, b))
+            idx += 1
+            continue
         if chosen == need:
             count += 1
-            return
-        if total_edges - idx < need - chosen:
-            return
-        a, b = edges[idx]
-        root_a, root_b = find(a), find(b)
-        if root_a != root_b:
-            if size[root_a] < size[root_b]:
-                root_a, root_b = root_b, root_a
-            parent[root_b] = root_a
-            size[root_a] += size[root_b]
-            scan(idx + 1, chosen + 1)
-            parent[root_b] = root_b
-            size[root_a] -= size[root_b]
-        scan(idx + 1, chosen)
-
-    scan(0, 0)
-    return count
+        if not taken:
+            return count
+        # undo the last taken edge and go on with it skipped
+        idx, root_a, root_b = taken.pop()
+        parent[root_b] = root_b
+        size[root_a] -= size[root_b]
+        idx += 1
 
 
 @dataclass(frozen=True)
 class Multigraph:
-    """Vertex count plus an edge multiset; loops are never stored."""
+    """Vertex count plus an edge multiset, {(i, j): multiplicity}.
+
+    Construction stores each pair sorted, merging (j, i) into (i, j), and
+    drops loops (no spanning tree contains one) and zero multiplicities.
+    """
 
     n: int
     edges: Counter
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"vertex count must be >= 1, got {self.n}")
+        edges: Counter = Counter()
+        for (i, j), k in self.edges.items():
+            if k < 0:
+                raise ValueError(f"edge ({i},{j}) has negative multiplicity {k}")
+            if not (1 <= i <= self.n and 1 <= j <= self.n):
+                raise ValueError(f"edge ({i},{j}) has an endpoint outside 1..{self.n}")
+            if k and i != j:
+                edges[(i, j) if i < j else (j, i)] += k
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def from_graph(cls, g: Graph) -> "Multigraph":
         return cls(g.n, Counter(g.edges))
 
 
-def _connected(vertices: frozenset[int], edges: Counter) -> bool:
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    start = next(iter(vertices))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(vertices)
-
-
-def _delcon(vertices: frozenset[int], edges: Counter) -> int:
-    if len(vertices) == 1:
-        return 1
-    if not edges or not _connected(vertices, edges):
-        return 0
-    a, b = min(edges)
-    # delete one copy of (a,b)
-    deleted = edges.copy()
-    deleted[(a, b)] -= 1
-    if deleted[(a, b)] == 0:
-        del deleted[(a, b)]
-    # contract (a,b): merge b into a, dropping the resulting loops
-    contracted: Counter = Counter()
-    for (i, j), mult in edges.items():
-        if (i, j) == (a, b):
-            continue
-        i2 = a if i == b else i
-        j2 = a if j == b else j
-        if i2 != j2:
-            contracted[(min(i2, j2), max(i2, j2))] += mult
-    return _delcon(vertices, deleted) + _delcon(vertices - {b}, contracted)
-
-
 def tau_delcon(mg: Multigraph) -> int:
     """Count spanning trees by the deletion-contraction recurrence.
 
-    Splits on the first edge in sorted order: count without that copy plus
-    count with its endpoints merged.  Disconnected states count 0 and the
-    single vertex counts 1.
+    A state is (weight, vertex count, bundles {(a, b): k}); tau(G) is the
+    total counted so far plus weight * tau(state) summed over the stack,
+    which starts as [(1, n, G's bundles)].  Each state first loses its
+    pendant vertices (a factor of k each), then counts its weight if one
+    vertex is left, and 0 if it is disconnected; otherwise its first bundle
+    in sorted order, ab with k copies, splits it into (weight, G - ab) and
+    (weight * k, G / ab), b merged into a.
     """
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), sum(mg.edges.values()) + mg.n + 100))
-    return _delcon(frozenset(range(1, mg.n + 1)), Counter(mg.edges))
+    total = 0
+    stack = [(1, mg.n, dict(mg.edges))]
+    while stack:
+        weight, vertices, edges = stack.pop()
+        adj: dict[int, dict[int, int]] = {}
+        for (a, b), k in edges.items():
+            adj.setdefault(a, {})[b] = k
+            adj.setdefault(b, {})[a] = k
+        if len(adj) < vertices:  # a vertex without bundles: no tree unless it is alone
+            total += weight if vertices == 1 else 0
+            continue
+        queue = deque(v for v, bundles in adj.items() if len(bundles) == 1)
+        while queue:
+            v = queue.popleft()
+            if not adj[v]:  # stripped into by a pendant neighbour: last vertex, or disconnected
+                continue
+            ((u, k),) = adj.pop(v).items()
+            weight *= k
+            vertices -= 1
+            del edges[(v, u) if v < u else (u, v)]
+            del adj[u][v]
+            if len(adj[u]) == 1:
+                queue.append(u)
+        if vertices == 1:
+            total += weight
+            continue
+        if not _connected(adj):
+            continue
+        a, b = min(edges)
+        k = edges.pop((a, b))
+        contracted = dict(edges)
+        for c, kc in adj[b].items():
+            if c != a:
+                del contracted[(b, c) if b < c else (c, b)]
+                e = (a, c) if a < c else (c, a)
+                contracted[e] = contracted.get(e, 0) + kc
+        stack.append((weight, vertices, edges))
+        stack.append((weight * k, vertices - 1, contracted))
+    return total
+
+
+def _connected(adj: dict[int, dict[int, int]]) -> bool:
+    start = next(iter(adj))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(adj)

@@ -92,6 +92,16 @@ def test_verify_family_agreement(capsys):
         assert method in out
 
 
+def test_verify_threshold_k9_runs_delcon(capsys):
+    # K9: C(36, 8) subsets exceed the oracle guard, so delcon is the brute force
+    code, out, _ = run(capsys, "verify", "--family", "threshold:dddddddd")
+    assert code == EXIT_OK
+    assert "all methods agree: tau = 4782969" in out
+    assert [line.split()[0] for line in out.splitlines()[1:-1]] == [
+        "reduced", "rankone", "temperley", "formula", "delcon",
+    ]
+
+
 def test_schur_finds_the_bipartition_once_and_does_not_recheck_it(capsys, monkeypatch):
     calls = []
     for name in ("find_bipartition", "check_bipartition"):

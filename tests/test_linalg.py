@@ -354,8 +354,11 @@ def test_det_perturbed_matrix_and_kernel_choice(monkeypatch):
     """Which matrix det_perturbed hands det_int (order n + 1 means the
     bordered one), and which kernel det_int then runs, for L + J."""
     rng = random.Random(11)
+    pairs = [(i, j) for i in range(1, 121) for j in range(i + 1, 121)]
     graphs = {
         "150-cycle": Graph(150, [(i, i % 150 + 1) for i in range(1, 151)]),
+        # average degree 8: L passes the shape rule, L with its border would not
+        "G(120, m=480)": Graph(120, random.Random(12).sample(pairs, 480)),
         "G(60, 0.97)": random_graph(rng, 60, 0.97),
         "K40": random_graph(rng, 40, 1.0),
         "G(40, 0.3)": random_graph(rng, 40, 0.3),
@@ -366,9 +369,9 @@ def test_det_perturbed_matrix_and_kernel_choice(monkeypatch):
     orders = []
     real_det_int = linalg.det_int
 
-    def det_int_spy(m):
+    def det_int_spy(m, **kwargs):
         orders.append(len(m))
-        return real_det_int(m)
+        return real_det_int(m, **kwargs)
 
     monkeypatch.setattr(linalg, "det_int", det_int_spy)
     choices = {}
@@ -382,6 +385,7 @@ def test_det_perturbed_matrix_and_kernel_choice(monkeypatch):
         used.clear()
     assert choices == {
         "150-cycle": (True, ["_det_modular"]),
+        "G(120, m=480)": (True, ["_det_modular"]),
         "G(60, 0.97)": (False, ["_det_modular"]),
         "K40": (False, ["_det_modular"]),
         "G(40, 0.3)": (False, ["_det_bareiss"]),

@@ -1,8 +1,10 @@
 import random
+import sys
 from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treecount import (
     EdgeNotInGraphError,
@@ -91,3 +93,82 @@ def test_oracles_agree_on_random_corpus():
     for _ in range(30):
         g = random_graph(rng, rng.randint(2, 7), rng.uniform(0.2, 0.9))
         assert tau_subsets(g) == tau_delcon(Multigraph.from_graph(g))
+
+
+def test_tau_delcon_complete_graph_k9():
+    assert tau_delcon(Multigraph.from_graph(gen_complete(9))) == 9**7
+
+
+def test_oracles_leave_recursion_limit_alone():
+    limit = sys.getrecursionlimit()
+    path = build_graph(1500, [(i, i + 1) for i in range(1, 1500)])
+    cycle = build_graph(300, [(i, i % 300 + 1) for i in range(1, 301)])
+    for g, tau in ((path, 1), (cycle, 300)):
+        assert tau_subsets(g) == tau
+        assert tau_delcon(Multigraph.from_graph(g)) == tau
+    assert sys.getrecursionlimit() == limit
+
+
+def test_multigraph_sorts_pairs_and_drops_loops_and_zeros():
+    mg = Multigraph(3, Counter({(2, 1): 2, (1, 2): 1, (3, 3): 4, (2, 3): 0}))
+    assert mg.edges == Counter({(1, 2): 3})
+    assert tau_delcon(Multigraph(2, Counter({(1, 1): 1, (1, 2): 1}))) == 1
+    assert tau_delcon(Multigraph(2, Counter({(1, 2): 0}))) == 0
+    assert tau_delcon(Multigraph(3, Counter({(2, 1): 1, (3, 2): 2, (1, 2): 1}))) == 4
+
+
+@pytest.mark.parametrize("n, edges", [
+    (3, {(1, 2): -1}),
+    (3, {(0, 1): 1}),
+    (3, {(1, 4): 1}),
+    (3, {(4, 4): 1}),
+    (0, {}),
+])
+def test_multigraph_rejects_bad_input(n, edges):
+    with pytest.raises(ValueError):
+        Multigraph(n, Counter(edges))
+
+
+def tau_by_labelled_edges(n, bundles):
+    """Reference count for a multigraph given as (i, j, k) bundles: expand
+    each into k labelled edges and test every (n-1)-subset with a fresh
+    union-find.  A loop, or any edge that closes a cycle, rejects a subset;
+    n - 1 edges without a cycle span all n vertices."""
+    labelled = [(i, j) for i, j, k in bundles for _ in range(k)]
+    count = 0
+    for subset in combinations(labelled, n - 1):
+        parent = list(range(n + 1))
+        for i, j in subset:
+            while parent[i] != i:
+                i = parent[i]
+            while parent[j] != j:
+                j = parent[j]
+            if i == j:
+                break
+            parent[i] = j
+        else:
+            count += 1
+    return count
+
+
+@st.composite
+def multigraph_bundles(draw):
+    """(n, bundles) with n <= 6 and bundles (i, j, k), k in 0..3.  Each
+    vertex v > 1 has a bundle to an earlier vertex, so connected graphs are
+    common; that bundle may have k = 0, and the extra bundles include loops,
+    repeated pairs and both orders, so pendant vertices, isolated vertices
+    and disconnected graphs all occur."""
+    n = draw(st.integers(1, 6))
+    vertex, mult = st.integers(1, n), st.integers(0, 3)
+    tree = [(draw(st.integers(1, v - 1)), v, draw(mult)) for v in range(2, n + 1)]
+    return n, tree + draw(st.lists(st.tuples(vertex, vertex, mult), max_size=6))
+
+
+@given(multigraph_bundles())
+@settings(max_examples=200, deadline=None)
+def test_tau_delcon_matches_labelled_edge_enumeration(nb):
+    n, bundles = nb
+    edges = Counter()
+    for i, j, k in bundles:
+        edges[(i, j)] += k
+    assert tau_delcon(Multigraph(n, edges)) == tau_by_labelled_edges(n, bundles)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import random
@@ -257,7 +258,10 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: `parse_args` does
+    not change it."""
     parser = argparse.ArgumentParser(
         prog="treecount",
         description="Count spanning trees exactly and cross-check the counting methods.",

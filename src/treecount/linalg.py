@@ -1,35 +1,53 @@
 """Exact linear algebra over Python ints and Fractions.
 
-Integer determinants (`det_int`) have two exact kernels:
+Integer determinants (`det_int`) have three exact kernels:
 
 - Bareiss elimination, fraction-free on the dense matrix, so every
   intermediate value is an integer and every internal division is checked
   to be exact.
-- Modular sparse elimination: the nonzero entries only, eliminated in
-  Markowitz (minimum-degree) order over GF(P) for the smallest tabled
-  Mersenne prime P > 2H, where H = isqrt(prod_i sum_j a_ij^2) + 1 is the
-  Hadamard bound, |det| <= H.  Its result is exact: any nonzero residue is
-  an invertible pivot, a row left with no nonzero residue means
-  det = 0 mod P, and one residue mod P > 2H fixes an integer in [-H, H].
-  So there is no Chinese remaindering and no unlucky prime.  One pivot on a
-  Laplacian is the paper's Schur-complement step (star-mesh reduction), and
-  the minimum-degree order keeps the fill of sparse graphs small.
+- Modular sparse elimination (`_det_modular`): the nonzero entries only,
+  eliminated in Markowitz order over GF(P), where H = isqrt(prod_i
+  sum_j a_ij^2) + 1 is the Hadamard bound, |det| <= H, and P is the
+  smallest prime 2^k - c above 2H in the literal table PRIMES: k = 64, 96,
+  ..., 1024 with a small c, then Mersenne primes 2^k - 1 up to 2^44497 - 1.
+  Since 2^k = c mod P, an entry is folded without division,
+  x -> (x & (2^k - 1)) + c (x >> k); with the pivot row reduced fully once
+  per pivot, every stored entry stays below (c + 2) 2^k, as c (c + 2) <= 2^k
+  for every tabled prime.  The result is
+  exact: any nonzero residue is an invertible pivot, a row left with no
+  nonzero residue means det = 0 mod P, and one residue mod P > 2H fixes an
+  integer in [-H, H].  So there is no Chinese remaindering and no unlucky
+  prime.
+- Symmetric sparse elimination (`_det_symmetric`), for symmetric matrices
+  such as Laplacian minors: minimum-degree order with diagonal pivots over
+  the same GF(P).  A diagonal pivot leaves the block left symmetric (its
+  Schur complement), so each pair update is computed once and written to
+  both (a, b) and (b, a).  One pivot on a Laplacian is the paper's
+  Schur-complement step (star-mesh reduction), and the minimum-degree
+  order keeps the fill of sparse graphs small.  When a diagonal residue is
+  0, the block left goes to the Markowitz kernel; the Schur-complement
+  identity det = prod(pivots) * det(block left) is exact over GF(P).
 
-`det_int` picks the kernel from the matrix's order and nonzero count: the
+`det_int` picks the kernel from the matrix's order and nonzero count: a
 modular one for order at least SPARSE_MIN_ORDER and at most
-SPARSE_MAX_PER_ROW nonzeros per row on average, when H fits under the
-largest tabled prime; Bareiss otherwise.
+SPARSE_MAX_PER_ROW nonzeros per row on average, when 2H fits under the
+largest tabled prime, the symmetric one when the matrix is symmetric;
+Bareiss otherwise.
 
-A rank-one update has a second matrix with the same determinant.  The
-bordered matrix B = [[M, u], [-v^T, 1]] of order n + 1 has the Schur
-complement M + u v^T on its trailing 1, so det B = det(M + u v^T) (the
-matrix determinant lemma), and B holds only nnz(M) + nnz(u) + nnz(v) + 1
-nonzeros.  `det_perturbed` hands `det_int` the bordered matrix whenever
-the shape rule, counting the nonzeros of M alone at order n + 1, sends B to
-the modular kernel, and M + u v^T otherwise: L + J of a sparse graph, zero
-only at its 2m edge entries, then takes the modular kernel on L plus one
-dense row and column, while L + J = nI - L(complement) of a dense graph
-stays unbordered.
+A rank-one update has a second matrix with the same determinant up to
+sign.  The bordered matrix B = [[M, u], [-v^T, 1]] of order n + 1 has the
+Schur complement M + u v^T on its trailing 1, so det B = det(M + u v^T)
+(the matrix determinant lemma); for u == v, B = [[M, u], [u^T, -1]] has
+the Schur complement M + u u^T on its trailing -1, so
+det B = -det(M + u u^T), and B is symmetric when M is.  B holds only
+nnz(M) + nnz(u) + nnz(v) + 1 nonzeros.  `det_perturbed` hands `det_int`
+the bordered matrix whenever the shape rule, counting the nonzeros of M
+alone at order n + 1, sends B to a modular kernel, and M + u v^T
+otherwise: L + J of a sparse graph, zero only at its 2m edge entries, then
+takes the symmetric kernel on L plus one dense row and column (L is
+singular, so elimination reaches a zero diagonal and hands the block left
+to the Markowitz kernel: for a connected graph, only the last 2 x 2),
+while L + J = nI - L(complement) of a dense graph stays unbordered.
 
 Rational work (the bipartite reduction matrix) uses Fraction, which keeps
 entries normalized with positive denominators.
@@ -43,15 +61,27 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import isqrt
 
 IntMatrix = list[list[int]]
 RatMatrix = list[list[Fraction]]
 
-# Exponents e of the Mersenne primes 2^e - 1 the modular kernel may use.
-MERSENNE_EXPONENTS = (
-    61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423,
-    9689, 9941, 11213, 19937, 21701, 23209, 44497,
+# The primes P = 2^k - c the modular kernels work modulo, as (k, c) in
+# increasing order: for k = 64, 96, ..., 1024 the smallest c making 2^k - c
+# prime (found offline and checked by a Miller-Rabin test in the suite), then
+# Mersenne primes 2^k - 1.  A small c lets x mod P be folded without
+# division, since 2^k = c (mod P).
+PRIMES = (
+    (64, 59), (96, 17), (128, 159), (160, 47), (192, 237), (224, 63),
+    (256, 189), (288, 167), (320, 197), (352, 657), (384, 317), (416, 435),
+    (448, 203), (480, 47), (512, 569), (544, 759), (576, 789), (608, 527),
+    (640, 305), (672, 399), (704, 245), (736, 509), (768, 825), (800, 105),
+    (832, 143), (864, 243), (896, 213), (928, 645), (960, 167), (992, 1779),
+    (1024, 105),
+    (1279, 1), (2203, 1), (2281, 1), (3217, 1), (4253, 1), (4423, 1),
+    (9689, 1), (9941, 1), (11213, 1), (19937, 1), (21701, 1), (23209, 1),
+    (44497, 1),
 )
 # det_int's kernel choice, measured on Laplacian minors of random graphs:
 # the modular kernel beat Bareiss at every order from 30 to 200 with up to
@@ -84,26 +114,29 @@ def _square_size(m: Sequence[Sequence]) -> int:
 def det_int(m: Sequence[Sequence[int]], *, nonzeros: int | None = None) -> int:
     """Exact determinant of a square integer matrix.
 
-    Large sparse matrices go to the modular kernel, all others to Bareiss
-    elimination (see the module docstring).  The shape rule counts the
-    nonzero entries of m, or takes `nonzeros` in their place when given:
-    det_perturbed passes the count of M alone for its bordered matrix.  The
-    0x0 matrix has determinant 1 (empty product).
+    Large sparse matrices go to a modular kernel, the symmetric one when
+    m is symmetric, and all others to Bareiss elimination (see the module
+    docstring).  The shape rule counts the nonzero entries of m, or takes
+    `nonzeros` in their place when given: det_perturbed passes the count of
+    M alone for its bordered matrix.  The 0x0 matrix has determinant 1
+    (empty product).
     """
     n = _square_size(m)
     if not _is_sparse(n, _nonzeros(m) if nonzeros is None else nonzeros):
         return _det_bareiss(m)
-    rows = [{j: x for j, x in enumerate(row) if x} for row in m]
-    p = _mersenne_above(2 * _hadamard_bound(rows))
+    rows = [{j: row[j] for j in compress(range(n), row)} for row in m]
+    p = _prime_above(2 * _hadamard_bound(rows))
     if p is None:
         return _det_bareiss(m)
+    if all(rows[j].get(i) == x for i, row in enumerate(rows) for j, x in row.items()):
+        return _det_symmetric(rows, p)
     return _det_modular(rows, p)
 
 
 def _is_sparse(order: int, nonzeros: int) -> bool:
     """det_int's shape rule: whether a matrix of this order with this many
-    nonzero entries goes to the modular kernel (when its Hadamard bound
-    fits under the largest tabled prime)."""
+    nonzero entries goes to a modular kernel (when its Hadamard bound fits
+    under the largest tabled prime)."""
     return order >= SPARSE_MIN_ORDER and nonzeros <= SPARSE_MAX_PER_ROW * order
 
 
@@ -119,30 +152,39 @@ def _hadamard_bound(rows: Sequence[dict[int, int]]) -> int:
     return isqrt(product) + 1
 
 
-def _mersenne_above(bound: int) -> int | None:
-    """Smallest tabled Mersenne prime greater than `bound`, or None."""
-    for e in MERSENNE_EXPONENTS:
-        p = (1 << e) - 1
+def _prime_above(bound: int) -> int | None:
+    """Smallest tabled prime 2^k - c greater than `bound`, or None."""
+    for k, c in PRIMES:
+        p = (1 << k) - c
         if p > bound:
             return p
     return None
 
 
+def _centered(residue: int, p: int) -> int:
+    """The integer of least absolute value congruent to `residue` mod p."""
+    residue %= p
+    return residue - p if residue > p // 2 else residue
+
+
 def _det_modular(rows: list[dict[int, int]], p: int) -> int:
-    """det(A) mod p as the residue of least absolute value, for the Mersenne
-    prime p = 2^e - 1 and A given by its nonzero entries, row i as
-    `rows[i] = {column: entry}`.
+    """det(A) mod p as the residue of least absolute value, for the prime
+    p = 2^k - c with c (c + 2) <= 2^k, and A given by its nonzero entries,
+    row i as `rows[i] = {column: entry}`.
 
     Gaussian elimination over GF(p) in Markowitz order: the row with fewest
-    entries left, and in it the column with fewest entries left.  Updated
-    entries are only folded, x -> (x & p) + (x >> e), which keeps their
-    residue and keeps them below (k + 1) p after k pivots; pivots and
-    row factors are fully reduced, so a stored entry that is 0 mod p is
-    never used as a pivot.  Then det(A) = sgn(s) * prod(pivots) mod p, where
-    s maps each pivot's row to its column.
+    entries left, and in it the column with fewest entries left.  The pivot
+    row's values and the row factors are fully reduced, so a stored entry
+    that is 0 mod p is never used as a pivot; updated entries are only
+    folded, x -> (x & (2^k - 1)) + c (x >> k), which keeps their residue
+    and keeps them below (c + 2) 2^k.  Then
+    det(A) = sgn(s) * prod(pivots) mod p, where s maps each pivot's row to
+    its column.
     """
     n = len(rows)
-    e = p.bit_length()
+    k = p.bit_length()
+    c = (1 << k) - p
+    mask = (1 << k) - 1
     rows = [{j: r for j, x in row.items() if (r := x % p)} for row in rows]
     cols: list[set[int]] = [set() for _ in range(n)]
     for i, row in enumerate(rows):
@@ -161,30 +203,30 @@ def _det_modular(rows: list[dict[int, int]], p: int) -> int:
         while True:
             if not row:
                 return 0  # no nonzero residue left in row r: A is singular mod p
-            c = min(row, key=lambda j: len(cols[j]))
-            cols[c].discard(r)
-            pivot = row.pop(c) % p
+            col = min(row, key=lambda j: len(cols[j]))
+            cols[col].discard(r)
+            pivot = row.pop(col) % p
             if pivot:
                 break
         done[r] = True
-        col_of[r] = c
+        col_of[r] = col
         det = det * pivot % p
         for j in row:
             cols[j].discard(r)
         inv = pow(pivot, -1, p)
-        items = row.items()
-        for i in cols[c]:
+        items = [(j, v) for j, x in row.items() if (v := x % p)]
+        for i in cols[col]:
             target = rows[i]
-            g = -target.pop(c) * inv % p
+            g = -target.pop(col) * inv % p
             if g:
                 get = target.get
                 for j, v in items:
                     x = get(j, 0) + g * v
                     if j not in target:
                         cols[j].add(i)
-                    target[j] = (x & p) + (x >> e)
+                    target[j] = (x & mask) + c * (x >> k)
             heappush(heap, (len(target), i))
-        cols[c] = set()
+        cols[col] = set()
     # parity of s: a cycle of length l is l - 1 transpositions
     seen = [False] * n
     odd = False
@@ -195,8 +237,60 @@ def _det_modular(rows: list[dict[int, int]], p: int) -> int:
             v = col_of[v]
             if v != start:
                 odd = not odd
-    det = (p - det if odd else det) % p
-    return det - p if det > p // 2 else det
+    return _centered(-det if odd else det, p)
+
+
+def _det_symmetric(rows: list[dict[int, int]], p: int) -> int:
+    """`_det_modular` for a symmetric A: det(A) mod p as the residue of least
+    absolute value, for the prime p = 2^k - c.
+
+    Minimum-degree elimination with diagonal pivots over GF(p): the row with
+    fewest entries left is eliminated together with its column.  Each step
+    keeps the block left symmetric (it is the Schur complement on the
+    pivot), so every pair update a_ab -= a_ar a_rb / a_rr is computed once
+    and stored at both (a, b) and (b, a); entries are reduced and folded as
+    in `_det_modular`.  Eliminating a row with its column permutes nothing,
+    so det(A) = prod(pivots) * det(block left).  When a diagonal residue is
+    0, as on a singular Laplacian, the block left (in which that diagonal
+    is 0) goes to `_det_modular`.
+    """
+    k = p.bit_length()
+    c = (1 << k) - p
+    mask = (1 << k) - 1
+    rows = [{j: r for j, x in row.items() if (r := x % p)} for row in rows]
+    heap = [(len(row), i) for i, row in enumerate(rows)]
+    heapify(heap)
+    done = [False] * len(rows)
+    det = 1
+    while heap:
+        size, r = heappop(heap)
+        row = rows[r]
+        if done[r] or size != len(row):
+            continue  # stale heap entry
+        pivot = row.pop(r, 0) % p
+        if not pivot:
+            rest = [i for i, finished in enumerate(done) if not finished]
+            index = {i: new for new, i in enumerate(rest)}
+            block = [{index[j]: x for j, x in rows[i].items()} for i in rest]
+            return _centered(det * _det_modular(block, p), p)
+        done[r] = True
+        det = det * pivot % p
+        for a in row:
+            del rows[a][r]
+        inv = pow(pivot, -1, p)
+        items = [(j, v) for j, x in row.items() if (v := x % p)]
+        for t, (a, va) in enumerate(items):
+            target = rows[a]
+            get = target.get
+            g = -va * inv % p
+            x = get(a, 0) + g * va
+            target[a] = (x & mask) + c * (x >> k)
+            for b, vb in items[t + 1:]:
+                x = get(b, 0) + g * vb
+                target[b] = rows[b][a] = (x & mask) + c * (x >> k)
+        for a in row:
+            heappush(heap, (len(rows[a]), a))
+    return _centered(det, p)
 
 
 def _det_bareiss(m: Sequence[Sequence[int]]) -> int:
@@ -285,14 +379,17 @@ def det_perturbed(
 ) -> int:
     """det(M + u v^T) for an n x n matrix and length-n vectors.
 
-    `det_int` gets one of two matrices with this determinant: M + u v^T,
-    or the bordered matrix [[M, u], [-v^T, 1]] of order n + 1, whose Schur
-    complement on the trailing 1 is M + u v^T.  The bordered one is used
-    whenever det_int's shape rule, judging M's nonzeros at order n + 1,
-    sends it to the modular kernel, as for L + J of a sparse graph.  The
-    border's own 2n + 1 entries are not counted: Markowitz order leaves the
-    dense last row for the end, and a dense row and column cost about one
-    update of that row per pivot, not fill in M.
+    `det_int` gets one of three matrices with this determinant up to sign:
+    M + u v^T, or a bordered matrix of order n + 1 whose Schur complement
+    on its trailing entry is M + u v^T.  That is [[M, u], [u^T, -1]], with
+    det = -det(M + u u^T), when u == v, so a symmetric M stays symmetric
+    (L + J takes the symmetric kernel), and [[M, u], [-v^T, 1]] otherwise.
+    A bordered matrix is used whenever det_int's shape rule, judging M's
+    nonzeros at order n + 1, sends it to a modular kernel, as for L + J of
+    a sparse graph.  The border's own 2n + 1 entries are not counted:
+    minimum-degree order leaves the dense last row for the end, and a dense
+    row and column cost about one update of that row per pivot, not fill
+    in M.
     """
     n = _square_size(m)
     if len(u) != n or len(v) != n:
@@ -300,6 +397,9 @@ def det_perturbed(
     nonzeros = _nonzeros(m)
     if _is_sparse(n + 1, nonzeros):
         bordered = [[*row, x] for row, x in zip(m, u)]
+        if list(u) == list(v):
+            bordered.append([*u, -1])
+            return -det_int(bordered, nonzeros=nonzeros)
         bordered.append([-x for x in v] + [1])
         return det_int(bordered, nonzeros=nonzeros)
     return det_int(add_outer_product(m, u, v))

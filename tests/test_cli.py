@@ -1,4 +1,10 @@
+import argparse
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 from treecount import cli
 from treecount.cli import EXIT_MISMATCH, EXIT_METHOD, EXIT_OK, EXIT_ORACLE, EXIT_PARSE
@@ -313,3 +319,57 @@ def test_both_inputs_rejected(capsys, tmp_path):
     path.write_text("2 1\n1 2\n")
     code, _, _ = run(capsys, "count", "--family", "complete:3", "--file", str(path))
     assert code == EXIT_PARSE
+
+
+def fresh_process(argv):
+    """(exit code, stdout, stderr) of the CLI run in a new interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "treecount.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def in_process(capsys, argv):
+    """(exit code, stdout, stderr) of cli.main(argv) in this process; argparse
+    reports a bad flag by raising SystemExit."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+MIXED_CALLS = [
+    ["count", "--family", "complete:6", "--json"],
+    ["count", "--family", "complete:6"],
+    ["count", "--family", "complete:6", "--no-such-flag"],
+    ["count", "--family", "bipartite:3,4", "--method", "reduced"],
+]
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys):
+    def untimed(result):
+        code, out, err = result
+        return code, re.sub(r'(elapsed_ms"?[=:] ?)[0-9.]+', r"\1#", out), err
+
+    in_one_process = [untimed(in_process(capsys, argv)) for argv in MIXED_CALLS]
+    assert [code for code, _, _ in in_one_process] == [EXIT_OK, EXIT_OK, EXIT_PARSE, EXIT_OK]
+    assert in_one_process == [untimed(fresh_process(argv)) for argv in MIXED_CALLS]
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    in_process(capsys, MIXED_CALLS[0])
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    codes = [in_process(capsys, argv)[0] for argv in MIXED_CALLS]
+    assert codes == [EXIT_OK, EXIT_OK, EXIT_PARSE, EXIT_OK]
+    assert built == []

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,11 +19,12 @@ from treecount import (
 )
 from treecount import linalg
 from treecount.linalg import (
-    MERSENNE_EXPONENTS,
+    PRIMES,
     _det_bareiss,
     _det_modular,
+    _det_symmetric,
     _hadamard_bound,
-    _mersenne_above,
+    _prime_above,
 )
 
 from conftest import DIAMOND_EDGES, random_graph
@@ -211,7 +213,7 @@ def sparse_rows(m):
 def det_modular(m):
     """_det_modular with the prime det_int would pick for m."""
     rows = sparse_rows(m)
-    return _det_modular(rows, _mersenne_above(2 * _hadamard_bound(rows)))
+    return _det_modular(rows, _prime_above(2 * _hadamard_bound(rows)))
 
 
 @st.composite
@@ -233,13 +235,44 @@ def test_det_modular_matches_naive_expansion(m):
     assert det_modular(m) == det_naive(m)
 
 
-@given(degenerate_matrices(), st.sampled_from([2, 3, 5, 7]))
+# Mersenne primes 2^k - 1, and primes 2^k - c with c > 1 (c (c + 2) <= 2^k,
+# as for every tabled prime): 13 = 2^4 - 3, 61 = 2^6 - 3, 251 = 2^8 - 5.
+SMALL_PRIMES = [3, 7, 31, 127, 13, 61, 251]
+
+
+@given(degenerate_matrices(), st.sampled_from(SMALL_PRIMES))
 @settings(max_examples=300, deadline=None)
-def test_det_modular_residue_for_small_mersenne_primes(m, e):
+def test_det_modular_residue_for_small_mersenne_primes(m, p):
     # With a tiny prime, many stored entries are 0 mod p without being 0,
     # so pivots must be reduced before use; the result is still det mod p.
-    p = (1 << e) - 1
     residue = _det_modular(sparse_rows(m), p)
+    assert (residue - det_naive(m)) % p == 0
+    assert abs(residue) <= p // 2
+
+
+@st.composite
+def degenerate_symmetric_matrices(draw):
+    """Symmetric matrices, some made singular by a zero row and column or
+    by a repeated row and column."""
+    m = draw(square_matrices)
+    n = len(m)
+    m = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    if n >= 2:
+        kind = draw(st.sampled_from(["none", "zero", "repeat"]))
+        for i in range(n):
+            if kind == "zero":
+                m[0][i] = m[i][0] = 0
+            elif kind == "repeat":
+                m[0][i] = m[i][0] = m[1][i] if i else m[1][1]
+    return m
+
+
+@given(degenerate_symmetric_matrices(), st.sampled_from(SMALL_PRIMES))
+@settings(max_examples=300, deadline=None)
+def test_det_symmetric_residue_for_small_primes(m, p):
+    # Tiny primes make diagonal residues 0 often, so most examples hand the
+    # block left to _det_modular.
+    residue = _det_symmetric(sparse_rows(m), p)
     assert (residue - det_naive(m)) % p == 0
     assert abs(residue) <= p // 2
 
@@ -256,12 +289,57 @@ def test_det_modular_matches_bareiss_on_sparse_nonsymmetric(n, per_row, seed):
     assert det_modular(m) == _det_bareiss(m)
 
 
-def test_mersenne_above():
-    assert _mersenne_above(0) == 2**61 - 1
-    assert _mersenne_above(2**61 - 2) == 2**61 - 1
-    assert _mersenne_above(2**61 - 1) == 2**89 - 1
-    assert _mersenne_above(2**130) == 2**521 - 1
-    assert _mersenne_above(2 ** MERSENNE_EXPONENTS[-1]) is None
+def test_prime_above():
+    assert _prime_above(0) == 2**64 - 59
+    assert _prime_above(2**64 - 60) == 2**64 - 59
+    assert _prime_above(2**64 - 59) == 2**96 - 17
+    assert _prime_above(2**130) == 2**160 - 47
+    # the seam between the pseudo-Mersenne primes and the Mersenne primes
+    assert _prime_above(2**1024 - 106) == 2**1024 - 105
+    assert _prime_above(2**1024 - 105) == 2**1279 - 1
+    assert _prime_above(2**1279 - 2) == 2**1279 - 1
+    assert _prime_above(2**1279 - 1) == 2**2203 - 1
+    # the ceiling
+    assert _prime_above(2**44497 - 2) == 2**44497 - 1
+    assert _prime_above(2**44497 - 1) is None
+
+
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve primes as bases."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_prime_table():
+    ks = [k for k, _ in PRIMES]
+    assert ks == sorted(set(ks))
+    pseudo = [(k, c) for k, c in PRIMES if k <= 1024]
+    assert [k for k, _ in pseudo] == list(range(64, 1025, 32))
+    for k, c in PRIMES:
+        # the fold keeps stored entries below (c + 2) 2^k only when c (c + 2) <= 2^k
+        assert 0 < c and c * (c + 2) <= 1 << k
+        assert c == 1 or k <= 1024
+    # The Mersenne entries above 1024 are known primes; Miller-Rabin on
+    # them would take seconds.
+    for k, c in pseudo:
+        assert is_probable_prime((1 << k) - c), (k, c)
+    # the test itself rejects composites: 2^64 - 57 = 41 * 163 * 269 * 8807 *
+    # 1165112831, and the Carmichael number 561
+    assert not is_probable_prime(2**64 - 57)
+    assert not is_probable_prime(561)
 
 
 def test_hadamard_bound_covers_determinant():
@@ -283,7 +361,7 @@ def spy_kernels(monkeypatch):
 
         return kernel
 
-    for name in ("_det_bareiss", "_det_modular"):
+    for name in ("_det_bareiss", "_det_modular", "_det_symmetric"):
         monkeypatch.setattr(linalg, name, spy(name))
     return used
 
@@ -292,15 +370,16 @@ def test_det_int_kernel_choice(monkeypatch):
     used = spy_kernels(monkeypatch)
     cycle = Graph(150, [(i, i % 150 + 1) for i in range(1, 151)]).laplacian()
     assert det_int(minor_matrix(cycle, 1, 1)) == 150
+    assert det_int(minor_matrix(cycle, 1, 2)) == -150  # not symmetric
     ones = [1] * 150
     assert det_int(add_outer_product(cycle, ones, ones)) == 150**3
     assert det_int(identity(9)) == 1
-    assert used == ["_det_modular", "_det_bareiss", "_det_bareiss"]
+    assert used == ["_det_symmetric", "_det_modular", "_det_bareiss", "_det_bareiss"]
 
 
 def test_det_int_falls_back_when_bound_exceeds_largest_prime(monkeypatch):
     # 1500-bit entries on 30 rows give a Hadamard bound of about 45000 bits,
-    # above the largest tabled Mersenne prime, so Bareiss must run.
+    # above the largest tabled prime, so Bareiss must run.
     used = spy_kernels(monkeypatch)
     rng = random.Random(7)
     n = linalg.SPARSE_MIN_ORDER
@@ -311,7 +390,7 @@ def test_det_int_falls_back_when_bound_exceeds_largest_prime(monkeypatch):
         expected *= m[i][i]
         if i:
             m[i][i - 1] = rng.getrandbits(1500)  # lower bidiagonal
-    assert _mersenne_above(2 * _hadamard_bound(sparse_rows(m))) is None
+    assert _prime_above(2 * _hadamard_bound(sparse_rows(m))) is None
     assert det_int(m) == expected
     assert used == ["_det_bareiss"]
 
@@ -383,11 +462,83 @@ def test_det_perturbed_matrix_and_kernel_choice(monkeypatch):
         choices[name] = (bordered, used[:])
         orders.clear()
         used.clear()
+    # the bordered L + J is symmetric, and its singular L hands the block
+    # left to _det_modular (see test_zero_diagonal_hand_off)
     assert choices == {
-        "150-cycle": (True, ["_det_modular"]),
-        "G(120, m=480)": (True, ["_det_modular"]),
-        "G(60, 0.97)": (False, ["_det_modular"]),
-        "K40": (False, ["_det_modular"]),
+        "150-cycle": (True, ["_det_symmetric", "_det_modular"]),
+        "G(120, m=480)": (True, ["_det_symmetric", "_det_modular"]),
+        "G(60, 0.97)": (False, ["_det_symmetric"]),
+        "K40": (False, ["_det_symmetric"]),
         "G(40, 0.3)": (False, ["_det_bareiss"]),
         "K8": (False, ["_det_bareiss"]),
     }
+
+
+@st.composite
+def sparse_symmetric_matrices(draw):
+    """Symmetric integer M of order 30-60 with about 3 off-diagonal entries
+    per row, diagonals that may be zero or negative, and some made singular
+    by repeating a row and its column."""
+    n = draw(st.integers(linalg.SPARSE_MIN_ORDER, 60))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    diagonal = draw(st.sampled_from(["positive", "mixed", "zero"]))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = {"positive": rng.randint(1, 50), "mixed": rng.randint(-50, 50), "zero": 0}[diagonal]
+        for j in rng.sample(range(n), 2):
+            if j != i:
+                m[i][j] = m[j][i] = rng.randint(-50, 50)
+    if draw(st.booleans()):
+        a, b = rng.sample(range(n), 2)  # row and column b become copies of a
+        for j in range(n):
+            m[b][j] = m[a][j]
+        for i in range(n):
+            m[i][b] = m[i][a]
+    return m
+
+
+@given(sparse_symmetric_matrices())
+@settings(max_examples=40, deadline=None)
+def test_det_int_symmetric_matches_bareiss(m):
+    with mock.patch.object(linalg, "_det_symmetric", wraps=linalg._det_symmetric) as kernel:
+        assert det_int(m) == _det_bareiss(m)
+    assert kernel.call_count == 1
+
+
+@given(sparse_symmetric_matrices(), st.integers(0, 2**32))
+@settings(max_examples=25, deadline=None)
+def test_det_perturbed_symmetric_border_matches_bareiss(m, seed):
+    rng = random.Random(seed)
+    u = [rng.randint(-50, 50) if rng.random() < 0.5 else 0 for _ in m]
+    with mock.patch.object(linalg, "_det_symmetric", wraps=linalg._det_symmetric) as kernel:
+        assert det_perturbed(m, u, u) == _det_bareiss(add_outer_product(m, u, u))
+    assert kernel.call_count == 1
+
+
+def block_orders(monkeypatch):
+    """Record (kernel, order) for every modular kernel call."""
+    calls = []
+
+    def spy(name):
+        real = getattr(linalg, name)
+
+        def kernel(rows, p):
+            calls.append((name, len(rows)))
+            return real(rows, p)
+
+        return kernel
+
+    for name in ("_det_modular", "_det_symmetric"):
+        monkeypatch.setattr(linalg, name, spy(name))
+    return calls
+
+
+def test_zero_diagonal_hand_off(monkeypatch):
+    """L of a connected graph is singular, so elimination of the bordered
+    L + J reaches a zero diagonal on L's last vertex and hands the block
+    left, that vertex and the border, to _det_modular."""
+    calls = block_orders(monkeypatch)
+    cycle = Graph(150, [(i, i % 150 + 1) for i in range(1, 151)]).laplacian()
+    ones = [1] * 150
+    assert det_perturbed(cycle, ones, ones) == 150**3
+    assert calls == [("_det_symmetric", 151), ("_det_modular", 2)]

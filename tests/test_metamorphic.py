@@ -1,11 +1,11 @@
-"""Metamorphic properties of tau at sizes where det_int takes its modular
-kernel: sparse random graphs on 31-60 vertices.  Each property reads
+"""Metamorphic properties of tau at sizes where det_int takes its symmetric
+modular kernel: sparse random graphs on 31-60 vertices.  Each property reads
 tau_reduced (a sparse minor) and tau_temperley (L + J, which det_perturbed
-hands to det_int as the bordered matrix [[L, 1], [-1^T, 1]]), both on the
-modular kernel, against tau from a Laplacian minor by Bareiss elimination.
-So a fault shared by every determinant route, or one in either kernel or
-in the bordering, breaks an identity that does not depend on any one
-method."""
+hands to det_int as the symmetric bordered matrix [[L, 1], [1^T, -1]]),
+both on the symmetric kernel, against tau from a Laplacian minor by Bareiss
+elimination.  So a fault shared by every determinant route, or one in
+either modular kernel, in the hand-off between them or in the bordering,
+breaks an identity that does not depend on any one method."""
 
 import random
 from unittest import mock
@@ -118,6 +118,26 @@ def test_disconnected_graph_counts_zero(a, b, seed):
     first, second = sparse_connected_graph(rng, a), sparse_connected_graph(rng, b)
     g = Graph(a + b, [*first.edges, *shifted(second.edges, a)])
     assert reduced_by_modular_kernel(g) == temperley_by_bordered_matrix(g) == tau_by_bareiss(g) == 0
+
+
+def cycle_edges(n):
+    return [(i, i % n + 1) for i in range(1, n + 1)]
+
+
+def test_disconnected_graphs_hand_off_and_count_zero():
+    """A component without vertex 1 is a singular block of the minor, and
+    L + J of a disconnected graph is singular too: elimination reaches a
+    zero diagonal, and the symmetric kernel hands the block left to
+    _det_modular."""
+    cycle_and_point = Graph(31, cycle_edges(30))
+    two_cycles = Graph(32, [*cycle_edges(20), *shifted(cycle_edges(12), 20)])
+    for g in (cycle_and_point, two_cycles):
+        with (
+            mock.patch.object(linalg, "_det_symmetric", wraps=linalg._det_symmetric) as kernel,
+            mock.patch.object(linalg, "_det_modular", wraps=linalg._det_modular) as hand_off,
+        ):
+            assert reduced_by_modular_kernel(g) == temperley_by_bordered_matrix(g) == 0
+        assert kernel.call_count == hand_off.call_count == 2
 
 
 def test_long_cycle():

@@ -35,13 +35,11 @@ largest tabled prime, the symmetric one when the matrix is symmetric;
 Bareiss otherwise.
 
 A rank-one update has a second matrix with the same determinant up to
-sign.  The bordered matrix B = [[M, u], [-v^T, 1]] of order n + 1 has the
-Schur complement M + u v^T on its trailing 1, so det B = det(M + u v^T)
-(the matrix determinant lemma); for u == v, B = [[M, u], [u^T, -1]] has
-the Schur complement M + u u^T on its trailing -1, so
-det B = -det(M + u u^T), and B is symmetric when M is.  B holds only
-nnz(M) + nnz(u) + nnz(v) + 1 nonzeros.  `det_perturbed` hands `det_int`
-the bordered matrix whenever the shape rule, counting the nonzeros of M
+sign.  The bordered matrix B = [[M, u], [v^T, -1]] of order n + 1 has the
+Schur complement M + u v^T on its trailing -1, so det B = -det(M + u v^T)
+(the matrix determinant lemma), and B is symmetric exactly when M is and
+u == v.  B holds only nnz(M) + nnz(u) + nnz(v) + 1 nonzeros.
+`det_perturbed` hands `det_int` the bordered matrix whenever the shape rule, counting the nonzeros of M
 alone at order n + 1, sends B to a modular kernel, and M + u v^T
 otherwise: L + J of a sparse graph, zero only at its 2m edge entries, then
 takes the symmetric kernel on L plus one dense row and column (L is
@@ -379,12 +377,11 @@ def det_perturbed(
 ) -> int:
     """det(M + u v^T) for an n x n matrix and length-n vectors.
 
-    `det_int` gets one of three matrices with this determinant up to sign:
-    M + u v^T, or a bordered matrix of order n + 1 whose Schur complement
-    on its trailing entry is M + u v^T.  That is [[M, u], [u^T, -1]], with
-    det = -det(M + u u^T), when u == v, so a symmetric M stays symmetric
-    (L + J takes the symmetric kernel), and [[M, u], [-v^T, 1]] otherwise.
-    A bordered matrix is used whenever det_int's shape rule, judging M's
+    `det_int` gets M + u v^T, or the bordered matrix [[M, u], [v^T, -1]]
+    of order n + 1, whose Schur complement on its trailing -1 is
+    M + u v^T, so its determinant is -det(M + u v^T).  The border is
+    symmetric when M is and u == v, so L + J takes the symmetric kernel.
+    The bordered matrix is used whenever det_int's shape rule, judging M's
     nonzeros at order n + 1, sends it to a modular kernel, as for L + J of
     a sparse graph.  The border's own 2n + 1 entries are not counted:
     minimum-degree order leaves the dense last row for the end, and a dense
@@ -397,11 +394,8 @@ def det_perturbed(
     nonzeros = _nonzeros(m)
     if _is_sparse(n + 1, nonzeros):
         bordered = [[*row, x] for row, x in zip(m, u)]
-        if list(u) == list(v):
-            bordered.append([*u, -1])
-            return -det_int(bordered, nonzeros=nonzeros)
-        bordered.append([-x for x in v] + [1])
-        return det_int(bordered, nonzeros=nonzeros)
+        bordered.append([*v, -1])
+        return -det_int(bordered, nonzeros=nonzeros)
     return det_int(add_outer_product(m, u, v))
 
 

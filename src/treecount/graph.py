@@ -65,18 +65,32 @@ class Graph:
         self._check_vertex(v)
         return self._adj[v]
 
+    def laplacian_rows(self) -> list[dict[int, int]]:
+        """The Laplacian as n sparse rows: row i - 1 is {column: entry}, with
+        0-based columns, -1 at each neighbour of i and deg(i) on the
+        diagonal.  No zero is stored, so the row of an isolated vertex is
+        empty."""
+        rows = []
+        for v, nb in self._adj.items():
+            row = {w - 1: -1 for w in nb}
+            if nb:
+                row[v - 1] = len(nb)
+            rows.append(row)
+        return rows
+
     def laplacian(self) -> list[list[int]]:
         """Degree matrix minus adjacency matrix, as an n x n list of ints.
 
         Entry (i,i) is deg(i), entry (i,j) is -1 when {i,j} is an edge and 0
-        otherwise, so every row and column sums to zero.
+        otherwise, so every row and column sums to zero.  It is the dense
+        form of `laplacian_rows`.
         """
-        n = self.n
-        lap = [[0] * n for _ in range(n)]
-        for v in range(1, n + 1):
-            lap[v - 1][v - 1] = len(self._adj[v])
-            for w in self._adj[v]:
-                lap[v - 1][w - 1] = -1
+        lap = []
+        for row in self.laplacian_rows():
+            dense = [0] * self.n
+            for j, x in row.items():
+                dense[j] = x
+            lap.append(dense)
         return lap
 
     def is_connected(self) -> bool:

@@ -84,10 +84,17 @@ def find_bipartition(g: Graph) -> Bipartition | None:
 def tau_reduced(g: Graph, row: int, col: int) -> int:
     """Count spanning trees from the reduced Laplacian with `row` and `col`
     deleted: (-1)^(row+col) det(L_{row,col}).  Any vertex pair gives the
-    same value; disconnected graphs give 0."""
-    lap = g.laplacian()
+    same value; disconnected graphs give 0.  The minor is built on the
+    sparse Laplacian rows: row `row` dropped, and the columns after `col`
+    shifted down by one."""
+    if not (1 <= row <= g.n and 1 <= col <= g.n):
+        raise linalg.IndexOutOfRangeError(f"minor indices ({row},{col}) outside 1..{g.n}")
+    rows = g.laplacian_rows()
+    del rows[row - 1]
+    c = col - 1
+    minor = [{j - (j > c): x for j, x in r.items() if j != c} for r in rows]
     sign = -1 if (row + col) % 2 else 1
-    value = sign * linalg.det_int(linalg.minor_matrix(lap, row, col))
+    value = sign * linalg.det_int(minor)
     assert value >= 0, f"reduced-Laplacian count came out negative: {value}"
     return value
 
@@ -102,7 +109,7 @@ def tau_rank_one(g: Graph, u: Sequence[int], v: Sequence[int]) -> int:
     sum_u, sum_v = sum(u), sum(v)
     if sum_u == 0 or sum_v == 0:
         raise ZeroVectorSumError("vector sums must be nonzero to recover the count")
-    det = linalg.det_perturbed(g.laplacian(), u, v)
+    det = linalg.det_perturbed(g.laplacian_rows(), u, v)
     value, rem = divmod(det, sum_u * sum_v)
     assert rem == 0, "rank-one update determinant not divisible by the vector sums"
     assert value >= 0, f"rank-one count came out negative: {value}"

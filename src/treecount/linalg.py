@@ -10,14 +10,14 @@ Integer determinants (`det_int`) have three exact kernels:
   sum_j a_ij^2) + 1 is the Hadamard bound, |det| <= H, and P is the
   smallest prime 2^k - c above 2H in the literal table PRIMES: k = 64, 96,
   ..., 1024 with a small c, then Mersenne primes 2^k - 1 up to 2^44497 - 1.
-  Since 2^k = c mod P, an entry is folded without division,
-  x -> (x & (2^k - 1)) + c (x >> k); with the pivot row reduced fully once
-  per pivot, every stored entry stays below (c + 2) 2^k, as c (c + 2) <= 2^k
-  for every tabled prime.  The result is
-  exact: any nonzero residue is an invertible pivot, a row left with no
-  nonzero residue means det = 0 mod P, and one residue mod P > 2H fixes an
-  integer in [-H, H].  So there is no Chinese remaindering and no unlucky
-  prime.
+  Reduction is lazy: entries are reduced once when a kernel starts, an
+  update adds g v < P^2 for the reduced row factor g and pivot-row value
+  v, and every read of a stored entry reduces it with % P.  An entry gets
+  at most one update per pivot, so every stored entry stays below
+  (n + 1) P^2.  The result is exact: any nonzero residue is an invertible
+  pivot, a row left with no nonzero residue means det = 0 mod P, and one
+  residue mod P > 2H fixes an integer in [-H, H].  So there is no Chinese
+  remaindering and no unlucky prime.
 - Symmetric sparse elimination (`_det_symmetric`), for symmetric matrices
   such as Laplacian minors: minimum-degree order with diagonal pivots over
   the same GF(P).  A diagonal pivot leaves the block left symmetric (its
@@ -39,19 +39,25 @@ sign.  The bordered matrix B = [[M, u], [v^T, -1]] of order n + 1 has the
 Schur complement M + u v^T on its trailing -1, so det B = -det(M + u v^T)
 (the matrix determinant lemma), and B is symmetric exactly when M is and
 u == v.  B holds only nnz(M) + nnz(u) + nnz(v) + 1 nonzeros.
-`det_perturbed` hands `det_int` the bordered matrix whenever the shape rule, counting the nonzeros of M
-alone at order n + 1, sends B to a modular kernel, and M + u v^T
-otherwise: L + J of a sparse graph, zero only at its 2m edge entries, then
-takes the symmetric kernel on L plus one dense row and column (L is
-singular, so elimination reaches a zero diagonal and hands the block left
-to the Markowitz kernel: for a connected graph, only the last 2 x 2),
-while L + J = nI - L(complement) of a dense graph stays unbordered.
+`det_perturbed` hands `det_int` the bordered matrix, as M's rows with a
+column n added and one last row, whenever the shape rule, counting the
+nonzeros of M alone at order n + 1, sends B to a modular kernel, and the
+dense M + u v^T otherwise: L + J of a sparse graph, zero only at its 2m
+edge entries, then takes the symmetric kernel on L plus one dense row and
+column (L is singular, so elimination reaches a zero diagonal and hands
+the block left to the Markowitz kernel: for a connected graph, only the
+last 2 x 2), while L + J = nI - L(complement) of a dense graph stays
+unbordered.
 
 Rational work (the bipartite reduction matrix) uses Fraction, which keeps
 entries normalized with positive denominators.
 
-Matrices are plain lists of row lists; row/column arguments on the public
-surface are 1-based to match vertex labels.
+Matrices are plain lists of row lists.  `det_int` and `det_perturbed` also
+take sparse rows, each a dict {column: entry} with 0-based columns and the
+absent entries zero, as `Graph.laplacian_rows` gives them; the kernels run
+on such rows directly, and only Bareiss elimination builds a dense copy.
+Row/column arguments on the public surface are 1-based to match vertex
+labels.
 """
 
 from __future__ import annotations
@@ -60,16 +66,19 @@ from collections.abc import Sequence
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress
+from operator import countOf, mul
 from math import isqrt
 
 IntMatrix = list[list[int]]
 RatMatrix = list[list[Fraction]]
+# rows as lists of n entries, or as dicts {0-based column: entry}
+IntRows = Sequence[Sequence[int] | dict[int, int]]
 
 # The primes P = 2^k - c the modular kernels work modulo, as (k, c) in
 # increasing order: for k = 64, 96, ..., 1024 the smallest c making 2^k - c
 # prime (found offline and checked by a Miller-Rabin test in the suite), then
-# Mersenne primes 2^k - 1.  A small c lets x mod P be folded without
-# division, since 2^k = c (mod P).
+# Mersenne primes 2^k - 1.  Steps of 32 bits size P to the Hadamard bound, so
+# the residues carry few more digits than the determinant needs.
 PRIMES = (
     (64, 59), (96, 17), (128, 159), (160, 47), (192, 237), (224, 63),
     (256, 189), (288, 167), (320, 197), (352, 657), (384, 317), (416, 435),
@@ -109,8 +118,23 @@ def _square_size(m: Sequence[Sequence]) -> int:
     return n
 
 
-def det_int(m: Sequence[Sequence[int]], *, nonzeros: int | None = None) -> int:
-    """Exact determinant of a square integer matrix.
+def _order(m: IntRows) -> int:
+    """Order of a square matrix given as row lists or as dict rows."""
+    n = len(m)
+    columns: set[int] = set()
+    for row in m:
+        if isinstance(row, dict):
+            columns.update(row)
+        elif len(row) != n:
+            raise DimensionMismatchError(f"matrix is not square: {n} rows, row of length {len(row)}")
+    if columns and (min(columns) < 0 or max(columns) >= n):
+        raise IndexOutOfRangeError(f"a sparse row has a column outside 0..{n - 1}")
+    return n
+
+
+def det_int(m: IntRows, *, nonzeros: int | None = None) -> int:
+    """Exact determinant of a square integer matrix, given as row lists or
+    as sparse rows {0-based column: entry}.
 
     Large sparse matrices go to a modular kernel, the symmetric one when
     m is symmetric, and all others to Bareiss elimination (see the module
@@ -119,14 +143,14 @@ def det_int(m: Sequence[Sequence[int]], *, nonzeros: int | None = None) -> int:
     M alone for its bordered matrix.  The 0x0 matrix has determinant 1
     (empty product).
     """
-    n = _square_size(m)
+    n = _order(m)
     if not _is_sparse(n, _nonzeros(m) if nonzeros is None else nonzeros):
-        return _det_bareiss(m)
-    rows = [{j: row[j] for j in compress(range(n), row)} for row in m]
+        return _det_bareiss(_dense_rows(m, n))
+    rows = _sparse_rows(m)
     p = _prime_above(2 * _hadamard_bound(rows))
     if p is None:
-        return _det_bareiss(m)
-    if all(rows[j].get(i) == x for i, row in enumerate(rows) for j, x in row.items()):
+        return _det_bareiss(_dense_rows(m, n))
+    if all(rows[j].get(i, 0) == x for i, row in enumerate(rows) for j, x in row.items()):
         return _det_symmetric(rows, p)
     return _det_modular(rows, p)
 
@@ -138,15 +162,40 @@ def _is_sparse(order: int, nonzeros: int) -> bool:
     return order >= SPARSE_MIN_ORDER and nonzeros <= SPARSE_MAX_PER_ROW * order
 
 
-def _nonzeros(m: Sequence[Sequence[int]]) -> int:
-    return sum(len(row) - row.count(0) for row in m)
+def _nonzeros(m: IntRows) -> int:
+    count = 0
+    for row in m:
+        count += len(row) - (countOf(row.values(), 0) if isinstance(row, dict) else row.count(0))
+    return count
+
+
+def _sparse_rows(m: IntRows) -> list[dict[int, int]]:
+    """The rows of m as dicts {column: entry}; dict rows are not copied."""
+    return [
+        row if isinstance(row, dict) else {j: row[j] for j in compress(range(len(row)), row)}
+        for row in m
+    ]
+
+
+def _dense_rows(m: IntRows, n: int) -> Sequence[Sequence[int]]:
+    """The rows of m as lists of n entries; list rows are not copied."""
+    dense = []
+    for row in m:
+        if isinstance(row, dict):
+            filled = [0] * n
+            for j, x in row.items():
+                filled[j] = x
+            row = filled
+        dense.append(row)
+    return dense
 
 
 def _hadamard_bound(rows: Sequence[dict[int, int]]) -> int:
     """H with |det| <= H: the product of the row norms, rounded up."""
     product = 1
     for row in rows:
-        product *= sum(x * x for x in row.values())
+        values = row.values()
+        product *= sum(map(mul, values, values))
     return isqrt(product) + 1
 
 
@@ -166,23 +215,20 @@ def _centered(residue: int, p: int) -> int:
 
 
 def _det_modular(rows: list[dict[int, int]], p: int) -> int:
-    """det(A) mod p as the residue of least absolute value, for the prime
-    p = 2^k - c with c (c + 2) <= 2^k, and A given by its nonzero entries,
-    row i as `rows[i] = {column: entry}`.
+    """det(A) mod p as the residue of least absolute value, for a prime p
+    and A given by its nonzero entries, row i as `rows[i] = {column: entry}`.
 
     Gaussian elimination over GF(p) in Markowitz order: the row with fewest
-    entries left, and in it the column with fewest entries left.  The pivot
-    row's values and the row factors are fully reduced, so a stored entry
-    that is 0 mod p is never used as a pivot; updated entries are only
-    folded, x -> (x & (2^k - 1)) + c (x >> k), which keeps their residue
-    and keeps them below (c + 2) 2^k.  Then
-    det(A) = sgn(s) * prod(pivots) mod p, where s maps each pivot's row to
-    its column.
+    entries left, and in it the column with fewest entries left.  Entries
+    are reduced when the kernel starts and then lazily: an update adds
+    g * v, with the row factor g and the pivot-row value v both reduced,
+    and every read of a stored entry (pivot, pivot-row value, row factor)
+    reduces it, so a stored entry that is 0 mod p is never used as a pivot,
+    and each entry, updated at most once per pivot, stays below
+    (n + 1) p^2.  Then det(A) = sgn(s) * prod(pivots) mod p, where s maps
+    each pivot's row to its column.
     """
     n = len(rows)
-    k = p.bit_length()
-    c = (1 << k) - p
-    mask = (1 << k) - 1
     rows = [{j: r for j, x in row.items() if (r := x % p)} for row in rows]
     cols: list[set[int]] = [set() for _ in range(n)]
     for i, row in enumerate(rows):
@@ -215,16 +261,18 @@ def _det_modular(rows: list[dict[int, int]], p: int) -> int:
         items = [(j, v) for j, x in row.items() if (v := x % p)]
         for i in cols[col]:
             target = rows[i]
-            g = -target.pop(col) * inv % p
+            size = len(target)
+            g = -(target.pop(col) % p) * inv % p
             if g:
                 get = target.get
                 for j, v in items:
-                    x = get(j, 0) + g * v
                     if j not in target:
                         cols[j].add(i)
-                    target[j] = (x & mask) + c * (x >> k)
-            heappush(heap, (len(target), i))
+                    target[j] = get(j, 0) + g * v
+            if len(target) != size:
+                heappush(heap, (len(target), i))
         cols[col] = set()
+        row.clear()  # never read again: frees the entries of eliminated rows
     # parity of s: a cycle of length l is l - 1 transpositions
     seen = [False] * n
     odd = False
@@ -240,21 +288,19 @@ def _det_modular(rows: list[dict[int, int]], p: int) -> int:
 
 def _det_symmetric(rows: list[dict[int, int]], p: int) -> int:
     """`_det_modular` for a symmetric A: det(A) mod p as the residue of least
-    absolute value, for the prime p = 2^k - c.
+    absolute value, for a prime p.
 
     Minimum-degree elimination with diagonal pivots over GF(p): the row with
     fewest entries left is eliminated together with its column.  Each step
     keeps the block left symmetric (it is the Schur complement on the
     pivot), so every pair update a_ab -= a_ar a_rb / a_rr is computed once
-    and stored at both (a, b) and (b, a); entries are reduced and folded as
-    in `_det_modular`.  Eliminating a row with its column permutes nothing,
-    so det(A) = prod(pivots) * det(block left).  When a diagonal residue is
-    0, as on a singular Laplacian, the block left (in which that diagonal
-    is 0) goes to `_det_modular`.
+    and stored at both (a, b) and (b, a); entries are reduced lazily as in
+    `_det_modular`, so each stays below (n + 1) p^2.  Eliminating a row
+    with its column permutes nothing, so det(A) = prod(pivots) * det(block
+    left).  When a diagonal residue is 0, as on a singular Laplacian, the
+    block left (in which that diagonal is 0) goes to `_det_modular`, which
+    reduces its entries when it starts.
     """
-    k = p.bit_length()
-    c = (1 << k) - p
-    mask = (1 << k) - 1
     rows = [{j: r for j, x in row.items() if (r := x % p)} for row in rows]
     heap = [(len(row), i) for i, row in enumerate(rows)]
     heapify(heap)
@@ -273,6 +319,7 @@ def _det_symmetric(rows: list[dict[int, int]], p: int) -> int:
             return _centered(det * _det_modular(block, p), p)
         done[r] = True
         det = det * pivot % p
+        sizes = [len(rows[a]) for a in row]
         for a in row:
             del rows[a][r]
         inv = pow(pivot, -1, p)
@@ -281,13 +328,13 @@ def _det_symmetric(rows: list[dict[int, int]], p: int) -> int:
             target = rows[a]
             get = target.get
             g = -va * inv % p
-            x = get(a, 0) + g * va
-            target[a] = (x & mask) + c * (x >> k)
+            target[a] = get(a, 0) + g * va
             for b, vb in items[t + 1:]:
-                x = get(b, 0) + g * vb
-                target[b] = rows[b][a] = (x & mask) + c * (x >> k)
-        for a in row:
-            heappush(heap, (len(rows[a]), a))
+                target[b] = rows[b][a] = get(b, 0) + g * vb
+        for a, size in zip(row, sizes):
+            if len(rows[a]) != size:
+                heappush(heap, (len(rows[a]), a))
+        row.clear()  # never read again: frees the entries of eliminated rows
     return _centered(det, p)
 
 
@@ -372,31 +419,33 @@ def add_outer_product(
     return [[m[i][j] + u[i] * v[j] for j in range(n)] for i in range(n)]
 
 
-def det_perturbed(
-    m: Sequence[Sequence[int]], u: Sequence[int], v: Sequence[int]
-) -> int:
-    """det(M + u v^T) for an n x n matrix and length-n vectors.
+def det_perturbed(m: IntRows, u: Sequence[int], v: Sequence[int]) -> int:
+    """det(M + u v^T) for an n x n matrix, given as `det_int` takes it, and
+    length-n vectors.
 
-    `det_int` gets M + u v^T, or the bordered matrix [[M, u], [v^T, -1]]
-    of order n + 1, whose Schur complement on its trailing -1 is
-    M + u v^T, so its determinant is -det(M + u v^T).  The border is
-    symmetric when M is and u == v, so L + J takes the symmetric kernel.
-    The bordered matrix is used whenever det_int's shape rule, judging M's
+    `det_int` gets the bordered matrix [[M, u], [v^T, -1]] of order n + 1,
+    whose Schur complement on its trailing -1 is M + u v^T, so its
+    determinant is -det(M + u v^T): M's rows as dicts with u in a column n
+    added, and v with the -1 as one last row.  The border is symmetric
+    when M is and u == v, so L + J takes the symmetric kernel.  The
+    bordered matrix is used whenever det_int's shape rule, judging M's
     nonzeros at order n + 1, sends it to a modular kernel, as for L + J of
-    a sparse graph.  The border's own 2n + 1 entries are not counted:
-    minimum-degree order leaves the dense last row for the end, and a dense
-    row and column cost about one update of that row per pivot, not fill
-    in M.
+    a sparse graph, and the dense M + u v^T otherwise.  The border's own
+    2n + 1 entries are not counted: minimum-degree order leaves the dense
+    last row for the end, and a dense row and column cost about one update
+    of that row per pivot, not fill in M.
     """
-    n = _square_size(m)
+    n = _order(m)
     if len(u) != n or len(v) != n:
         raise DimensionMismatchError(f"vector lengths {len(u)}, {len(v)} do not match n={n}")
     nonzeros = _nonzeros(m)
     if _is_sparse(n + 1, nonzeros):
-        bordered = [[*row, x] for row, x in zip(m, u)]
-        bordered.append([*v, -1])
+        bordered = [{**row, n: x} if x else row for row, x in zip(_sparse_rows(m), u)]
+        last = {j: x for j, x in enumerate(v) if x}
+        last[n] = -1
+        bordered.append(last)
         return -det_int(bordered, nonzeros=nonzeros)
-    return det_int(add_outer_product(m, u, v))
+    return det_int(add_outer_product(_dense_rows(m, n), u, v))
 
 
 def adjugate(m: Sequence[Sequence[int]]) -> IntMatrix:

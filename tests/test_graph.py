@@ -116,3 +116,28 @@ def test_laplacian_deterministic_for_equal_graphs():
     b = build_graph(4, list(reversed(DIAMOND_EDGES)))
     assert a == b
     assert a.laplacian() == b.laplacian()
+
+
+def test_laplacian_rows_worked_example(diamond):
+    assert diamond.laplacian_rows() == [
+        {0: 3, 1: -1, 2: -1, 3: -1},
+        {0: -1, 1: 2, 2: -1},
+        {0: -1, 1: -1, 2: 3, 3: -1},
+        {0: -1, 2: -1, 3: 2},
+    ]
+    assert build_graph(1, []).laplacian_rows() == [{}]
+    assert build_graph(3, [(1, 3)]).laplacian_rows() == [{0: 1, 2: -1}, {}, {0: -1, 2: 1}]
+
+
+def test_laplacian_rows_agree_with_laplacian():
+    rng = random.Random(20240802)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 12), rng.uniform(0.0, 0.9))
+        rows = g.laplacian_rows()
+        assert all(0 not in row.values() for row in rows)
+        assert rows == [{j: x for j, x in enumerate(row) if x} for row in g.laplacian()]
+        for v in range(1, g.n + 1):
+            expected = {w - 1: -1 for w in g.neighbors(v)}
+            if g.degree(v):
+                expected[v - 1] = g.degree(v)
+            assert rows[v - 1] == expected

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from treecount import (
     Bipartition,
     Graph,
+    IndexOutOfRangeError,
     IsolatedColumnVertexError,
     NotBipartitionError,
     ZeroVectorSumError,
@@ -13,11 +15,14 @@ from treecount import (
     adjugate,
     build_graph,
     check_bipartition,
+    cli,
     det_int,
     find_bipartition,
     gen_complete,
     gen_complete_bipartite,
     gen_ferrers,
+    linalg,
+    parse_family,
     s_matrix,
     tau,
     tau_bipartite_schur,
@@ -57,6 +62,43 @@ def test_tau_reduced_index_invariance():
             for col in range(1, g.n + 1)
         }
         assert len(values) == 1
+
+
+def test_tau_reduced_index_errors(diamond):
+    for row, col in [(0, 1), (1, 0), (5, 1), (1, 5), (0, 5), (5, 5)]:
+        with pytest.raises(IndexOutOfRangeError):
+            tau_reduced(diamond, row, col)
+    with pytest.raises(IndexOutOfRangeError):
+        tau_reduced(build_graph(1, []), 2, 1)
+
+
+def test_laplacian_rows_are_the_only_matrix_the_methods_build():
+    """No counting method calls Graph.laplacian or minor_matrix: the
+    Laplacian routes build their matrices on Graph.laplacian_rows."""
+    fam = parse_family("bipartite:3,4")
+    every, determinants = list(cli.METHODS), ["reduced", "rankone", "temperley", "schur"]
+    cases = [
+        (fam.graph(), fam, every),
+        (build_graph(1, []), None, every),
+        (build_graph(5, [(1, 2), (3, 4)]), None, every),
+        (Graph(40, [(i, i % 40 + 1) for i in range(1, 41)]), None, determinants),  # modular kernels
+        (gen_complete(40), None, determinants),  # L + J unbordered
+        (random_graph(random.Random(5), 35, 0.3), None, determinants),  # Bareiss
+    ]
+    expected = [tau_reduced(g, 1, 1) for g, _, _ in cases]
+    with (
+        mock.patch.object(Graph, "laplacian") as laplacian,
+        mock.patch.object(linalg, "minor_matrix") as minor_matrix,
+    ):
+        for (g, family, methods), value in zip(cases, expected):
+            assert tau(g) == value
+            assert {tau_reduced(g, g.n, 1), tau_reduced(g, 1, g.n)} == {value}
+            for method in methods:
+                try:
+                    assert cli.METHODS[method](g, family, 10**6) == value, method
+                except cli.MethodUnavailableError:
+                    pass
+    assert laplacian.call_count == minor_matrix.call_count == 0
 
 
 def test_tau_rank_one_examples(diamond):

@@ -235,9 +235,10 @@ def test_det_modular_matches_naive_expansion(m):
     assert det_modular(m) == det_naive(m)
 
 
-# Mersenne primes 2^k - 1, and primes 2^k - c with c > 1 (c (c + 2) <= 2^k,
-# as for every tabled prime): 13 = 2^4 - 3, 61 = 2^6 - 3, 251 = 2^8 - 5.
-SMALL_PRIMES = [3, 7, 31, 127, 13, 61, 251]
+# Lazy reduction works modulo any prime: Mersenne primes 2^k - 1, primes
+# 2^k - c with c > 1 like the tabled ones (13 = 2^4 - 3, 61 = 2^6 - 3,
+# 251 = 2^8 - 5), and primes of neither form.
+SMALL_PRIMES = [3, 7, 31, 127, 13, 61, 251, 2, 5, 11]
 
 
 @given(degenerate_matrices(), st.sampled_from(SMALL_PRIMES))
@@ -329,8 +330,7 @@ def test_prime_table():
     pseudo = [(k, c) for k, c in PRIMES if k <= 1024]
     assert [k for k, _ in pseudo] == list(range(64, 1025, 32))
     for k, c in PRIMES:
-        # the fold keeps stored entries below (c + 2) 2^k only when c (c + 2) <= 2^k
-        assert 0 < c and c * (c + 2) <= 1 << k
+        assert 0 < c
         assert c == 1 or k <= 1024
     # The Mersenne entries above 1024 are known primes; Miller-Rabin on
     # them would take seconds.
@@ -542,3 +542,91 @@ def test_zero_diagonal_hand_off(monkeypatch):
     ones = [1] * 150
     assert det_perturbed(cycle, ones, ones) == 150**3
     assert calls == [("_det_symmetric", 151), ("_det_modular", 2)]
+
+
+def test_det_int_dict_rows_match_list_rows(monkeypatch):
+    """det_int gives the same value, through the same kernel, on dict rows
+    as on row lists: every kernel, the Bareiss fallback above the largest
+    prime, order 0 and rows with no entries."""
+    cycle = Graph(150, [(i, i % 150 + 1) for i in range(1, 151)]).laplacian()
+    ones = [1] * 150
+    empty_row = minor_matrix(cycle, 1, 1)
+    empty_row[40] = [0] * 149  # a row with no entries: det 0 on either kernel
+    empty_both = [[0 if 40 in (i, j) else x for j, x in enumerate(row)] for i, row in enumerate(empty_row)]
+    rng = random.Random(7)
+    huge = [[0] * 30 for _ in range(30)]  # bound above the largest prime
+    for i in range(30):
+        huge[i][i] = rng.getrandbits(1500) | 1 << 1499
+    cases = {
+        "symmetric": (minor_matrix(cycle, 1, 1), ["_det_symmetric"]),
+        "modular": (minor_matrix(cycle, 1, 2), ["_det_modular"]),
+        "dense": (add_outer_product(cycle, ones, ones), ["_det_bareiss"]),
+        "empty row": (empty_row, ["_det_modular"]),
+        "empty row and column": (empty_both, ["_det_symmetric", "_det_modular"]),
+        "Bareiss": ([[3, -1, -1], [-1, -1, 0], [-1, -1, 2]], ["_det_bareiss"]),
+        "Bareiss, empty row": ([[1, 2, 0], [0, 0, 0], [4, 5, 6]], ["_det_bareiss"]),
+        "above the primes": (huge, ["_det_bareiss"]),
+        "order 0": ([], ["_det_bareiss"]),
+    }
+    used = spy_kernels(monkeypatch)
+    for name, (m, kernels) in cases.items():
+        expected = det_int(m)
+        assert used == kernels, name
+        used.clear()
+        assert det_int(sparse_rows(m)) == expected, name
+        assert used == kernels, name
+        used.clear()
+    # a stored zero is not an entry: the shape rule and the symmetry test
+    # still send the minor to the symmetric kernel
+    rows = sparse_rows(minor_matrix(cycle, 1, 1))
+    rows[0][100] = 0
+    assert det_int(rows) == 150
+    assert used == ["_det_symmetric"]
+
+
+def test_det_int_dict_rows_rejects_bad_columns():
+    with pytest.raises(IndexOutOfRangeError):
+        det_int([{0: 1}, {2: 1}])
+    with pytest.raises(IndexOutOfRangeError):
+        det_int([{-1: 1}, {1: 1}])
+    with pytest.raises(DimensionMismatchError):
+        det_int([{0: 1}, [1]])
+    with pytest.raises(DimensionMismatchError):
+        det_perturbed([{0: 1}, {1: 1}], [1], [1, 1])
+
+
+def test_det_perturbed_dict_rows_match_list_rows(monkeypatch):
+    """det_perturbed on dict rows equals det_perturbed on row lists, for the
+    bordered matrix, both dense M + u v^T kernels, order 0 and a row with no
+    entries."""
+    cycle = Graph(150, [(i, i % 150 + 1) for i in range(1, 151)]).laplacian()
+    k40 = Graph(40, [(i, j) for i in range(1, 41) for j in range(i + 1, 41)]).laplacian()
+    isolated = Graph(40, [(i, i % 39 + 1) for i in range(1, 40)]).laplacian()  # vertex 40 alone
+    rng = random.Random(3)
+    u = [rng.randint(-5, 5) for _ in range(150)]
+    cases = {
+        "bordered, symmetric": (cycle, [1] * 150, [1] * 150, ["_det_symmetric", "_det_modular"]),
+        "bordered, general": (cycle, u, [1] * 150, ["_det_modular"]),
+        "dense, symmetric": (k40, [1] * 40, [1] * 40, ["_det_symmetric"]),
+        "dense, Bareiss": ([[2, 1], [1, 3]], [1, 2], [3, 4], ["_det_bareiss"]),
+        "empty row": (isolated, [1] * 40, [1] * 40, ["_det_symmetric", "_det_modular"]),
+        "order 0": ([], [], [], ["_det_bareiss"]),
+    }
+    used = spy_kernels(monkeypatch)
+    for name, (m, u, v, kernels) in cases.items():
+        expected = det_perturbed(m, u, v)
+        assert used == kernels, name
+        used.clear()
+        assert det_perturbed(sparse_rows(m), u, v) == expected, name
+        assert used == kernels, name
+        used.clear()
+        assert expected == _det_bareiss(add_outer_product(m, u, v)), name
+        used.clear()
+
+
+@given(sparse_rank_one_updates())
+@settings(max_examples=15, deadline=None)
+def test_dict_rows_match_list_rows_on_sparse_updates(muv):
+    m, u, v = muv
+    assert det_int(sparse_rows(m)) == det_int(m)
+    assert det_perturbed(sparse_rows(m), u, v) == det_perturbed(m, u, v)

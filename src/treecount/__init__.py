@@ -21,12 +21,14 @@ from .linalg import (
     add_outer_product,
     adjugate,
     det_int,
+    det_mod,
     det_perturbed,
     det_rat,
     minor_matrix,
 )
 from .kirchhoff import (
     Bipartition,
+    BoundAbovePrimesError,
     IsolatedColumnVertexError,
     NotBipartitionError,
     ZeroVectorSumError,
@@ -81,12 +83,13 @@ __version__ = "0.1.0"
 __all__ = [
     "Graph", "build_graph",
     "GraphError", "LoopEdgeError", "DuplicateEdgeError", "OutOfRangeError",
-    "det_int", "det_rat", "minor_matrix", "add_outer_product", "det_perturbed", "adjugate",
+    "det_int", "det_mod", "det_rat", "minor_matrix", "add_outer_product", "det_perturbed", "adjugate",
     "LinalgError", "DimensionMismatchError", "IndexOutOfRangeError",
     "Bipartition", "check_bipartition", "find_bipartition",
     "tau", "tau_reduced", "tau_rank_one", "tau_temperley",
     "s_matrix", "tau_bipartite_schur",
     "ZeroVectorSumError", "NotBipartitionError", "IsolatedColumnVertexError",
+    "BoundAbovePrimesError",
     "gen_complete", "gen_complete_bipartite", "gen_complete_multipartite",
     "gen_ferrers", "gen_threshold", "threshold_t", "conjugate_partition",
     "count_complete", "count_complete_bipartite", "count_complete_multipartite",

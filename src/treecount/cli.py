@@ -70,6 +70,8 @@ def _schur(g: Graph, fam, limit: int) -> int:
         return kirchhoff.tau_bipartite_schur(g)
     except kirchhoff.NotBipartitionError:
         raise MethodUnavailableError("schur needs a bipartite graph with two nonempty sides") from None
+    except kirchhoff.BoundAbovePrimesError as exc:
+        raise MethodUnavailableError(f"schur cannot count this graph: {exc}") from None
 
 
 def _formula(g: Graph, fam: families.Family | None, limit: int) -> int:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from collections.abc import Sequence
 
-from .graph import Graph
+from .graph import MAX_VERTICES, Graph
 
 DOMINATING = "d"
 ISOLATED = "i"
@@ -281,16 +281,28 @@ _INT_TOKEN = re.compile(r"^(?:(\d+)x)?(\d+)$")
 
 def _parse_sizes(kind: str, text: str, count: int | None = None) -> tuple[int, ...]:
     """Positive sizes from a comma list with CxV repetition; exactly `count`
-    of them when given."""
+    of them when given.
+
+    The sum of C * V over the tokens is checked against MAX_VERTICES before
+    any token is expanded.  It is the vertex count of the complete kinds and
+    the edge count of a Ferrers graph, which has at most twice as many
+    vertices as edges; a V of 0 is rejected first, so the sum also bounds
+    the number of sizes.
+    """
     if not text:
         raise FamilySpecError(f"{kind} spec needs arguments")
-    values = []
+    tokens = []
     for token in text.split(","):
         match = _INT_TOKEN.match(token.strip())
         if not match:
             raise FamilySpecError(f"bad numeric token {token!r} in {kind} spec")
-        repeat = int(match.group(1)) if match.group(1) else 1
-        values.extend([int(match.group(2))] * repeat)
+        repeat, value = int(match.group(1) or 1), int(match.group(2))
+        _check_positive("size", value)
+        tokens.append((repeat, value))
+    total = sum(repeat * value for repeat, value in tokens)
+    if total > MAX_VERTICES:
+        raise FamilySpecError(f"{kind} sizes sum to {total}, above the limit of {MAX_VERTICES}")
+    values = [value for repeat, value in tokens for _ in range(repeat)]
     if count is not None and len(values) != count:
         raise FamilySpecError(f"{kind} takes exactly {count} size(s), got {len(values)}")
     return tuple(_check_sizes(values))

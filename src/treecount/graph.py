@@ -4,6 +4,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+# The most vertices a parsed input may declare, checked before anything is
+# allocated for them: ten times the order of the largest graphs the
+# determinant kernels are meant for (about 10^4 vertices), and far below
+# the count whose adjacency sets alone would exhaust memory.
+MAX_VERTICES = 100_000
+
 
 class GraphError(ValueError):
     """Invalid graph construction or vertex access."""

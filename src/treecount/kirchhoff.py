@@ -6,6 +6,18 @@ and a Schur-complement reduction that collapses a bipartite Laplacian onto
 one side of the bipartition.  All arithmetic is exact; every division is
 checked and any negative or inexact intermediate is an assertion failure,
 never a value.
+
+The bipartite reduction works over GF(P) for one prime P: the entries
+1/deg(c) of its matrix S become modular inverses, and `linalg.det_mod`
+takes det(S) mod P.  tau is at most the degree product
+B = prod_{v != 1} deg(v) (each tree gives every vertex but 1 the edge
+towards 1), and P is the smallest tabled prime above 2 B 2^64, so the
+residue in [0, P) is tau itself.  The 64 bits of margin make the assert
+that the residue is at most B a self-check, at least as strong as the
+integrality check of a count over the rationals: when a wrong S gives a
+rational count that is not an integer in [0, B], its residue lands at most
+B only by chance, about once in 2^64.  A wrong S whose count is still such
+an integer passes, as it would over the rationals.
 """
 
 from __future__ import annotations
@@ -13,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Sequence
+from math import prod
 
 from . import linalg
 from .graph import Graph
@@ -28,6 +41,11 @@ class NotBipartitionError(ValueError):
 
 class IsolatedColumnVertexError(ValueError):
     """A column-side vertex has degree zero, so 1/deg(c) is undefined."""
+
+
+class BoundAbovePrimesError(ValueError):
+    """The bipartite reduction's degree-product bound, with its margin, is
+    above the largest tabled prime."""
 
 
 @dataclass(frozen=True)
@@ -135,34 +153,36 @@ def s_matrix(g: Graph, bp: Bipartition) -> linalg.RatMatrix:
     diagonal.  bp is checked with `check_bipartition` first.
     """
     check_bipartition(g, bp)
-    return _s_matrix_unchecked(g, bp)
+    return _reduction(g, bp, {c: Fraction(1, d) for c, d in _column_degrees(g, bp).items()})
 
 
-def _s_matrix_unchecked(g: Graph, bp: Bipartition) -> linalg.RatMatrix:
-    """`s_matrix` for a bp already known to be a bipartition of g."""
-    for c in bp.cols:
-        if g.degree(c) == 0:
+def _column_degrees(g: Graph, bp: Bipartition) -> dict[int, int]:
+    degrees = {c: g.degree(c) for c in bp.cols}
+    for c, d in degrees.items():
+        if d == 0:
             raise IsolatedColumnVertexError(f"column vertex {c} has degree 0")
+    return degrees
+
+
+def _reduction(g: Graph, bp: Bipartition, reciprocal: dict) -> list[list]:
+    """`s_matrix` for a bp already known to be a bipartition of g, with
+    reciprocal[c] standing for 1/deg(c): a Fraction, or an inverse mod P."""
     nbrs = {r: g.neighbors(r) for r in bp.rows}
-    out: linalg.RatMatrix = []
-    for r in bp.rows:
-        row = []
-        for r2 in bp.rows:
-            if r == r2:
-                row.append(Fraction(g.degree(r)))
-            else:
-                row.append(sum((Fraction(1, g.degree(c)) for c in nbrs[r] - nbrs[r2]), Fraction(0)))
-        out.append(row)
-    return out
+    return [
+        [g.degree(r) if r == r2 else sum(map(reciprocal.__getitem__, nbrs[r] - nbrs[r2])) for r2 in bp.rows]
+        for r in bp.rows
+    ]
 
 
 def tau_bipartite_schur(g: Graph, bp: Bipartition | None = None) -> int:
     """Count spanning trees of a bipartite graph from its reduction matrix:
-    (prod of column degrees) * det(S) / (|rows| * |cols|).
+    (prod of column degrees) * det(S) / (|rows| * |cols|), over GF(P) (see
+    the module docstring).
 
     A given bp is checked with `check_bipartition`; without one, the
     bipartition comes from `find_bipartition`, and a graph with an odd
-    cycle raises NotBipartitionError.
+    cycle raises NotBipartitionError.  A bound above the largest tabled
+    prime raises BoundAbovePrimesError.
     """
     if bp is None:
         bp = find_bipartition(g)
@@ -173,14 +193,15 @@ def tau_bipartite_schur(g: Graph, bp: Bipartition | None = None) -> int:
     m, n = len(bp.rows), len(bp.cols)
     if m == 0 or n == 0:
         raise NotBipartitionError("both sides must be nonempty")
-    s = _s_matrix_unchecked(g, bp)
-    deg_product = 1
-    for c in bp.cols:
-        deg_product *= g.degree(c)
-    value = deg_product * linalg.det_rat(s) / (m * n)
-    assert value.denominator == 1, "bipartite reduction gave a non-integer count"
-    assert value >= 0, f"bipartite reduction count came out negative: {value}"
-    return int(value)
+    degrees = _column_degrees(g, bp)
+    bound = prod(g.degree(v) for v in range(2, g.n + 1))
+    p = linalg.prime_above(2 * bound << 64)
+    if p is None:
+        raise BoundAbovePrimesError(f"the degree-product bound has {bound.bit_length()} bits")
+    det = linalg.det_mod(_reduction(g, bp, {c: pow(d, -1, p) for c, d in degrees.items()}), p)
+    value = det * prod(degrees.values()) * pow(m * n, -1, p) % p
+    assert value <= bound, "bipartite reduction residue exceeds the degree-product bound"
+    return value
 
 
 def tau(g: Graph) -> int:

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Python ints and Fractions.
+"""Exact linear algebra over Python ints.
 
 Integer determinants (`det_int`) have three exact kernels:
 
@@ -31,8 +31,10 @@ Integer determinants (`det_int`) have three exact kernels:
 `det_int` picks the kernel from the matrix's order and nonzero count: a
 modular one for order at least SPARSE_MIN_ORDER and at most
 SPARSE_MAX_PER_ROW nonzeros per row on average, when 2H fits under the
-largest tabled prime, the symmetric one when the matrix is symmetric;
-Bareiss otherwise.
+largest tabled prime; Bareiss otherwise.  `det_mod` gives det mod a
+caller's prime through the same two modular kernels, the symmetric one
+when the matrix is symmetric, for callers that bound the value they
+recover themselves (the bipartite reduction in `kirchhoff`).
 
 A rank-one update has a second matrix with the same determinant up to
 sign.  The bordered matrix B = [[M, u], [v^T, -1]] of order n + 1 has the
@@ -49,8 +51,8 @@ the block left to the Markowitz kernel: for a connected graph, only the
 last 2 x 2), while L + J = nI - L(complement) of a dense graph stays
 unbordered.
 
-Rational work (the bipartite reduction matrix) uses Fraction, which keeps
-entries normalized with positive denominators.
+`det_rat`, the determinant of a rational matrix, scales each row to
+integers by the lcm of its denominators and calls `det_int`.
 
 Matrices are plain lists of row lists.  `det_int` and `det_perturbed` also
 take sparse rows, each a dict {column: entry} with 0-based columns and the
@@ -67,7 +69,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from operator import countOf, mul
-from math import isqrt
+from math import isqrt, lcm
 
 IntMatrix = list[list[int]]
 RatMatrix = list[list[Fraction]]
@@ -110,14 +112,6 @@ class IndexOutOfRangeError(LinalgError):
     """A row/column index falls outside the matrix."""
 
 
-def _square_size(m: Sequence[Sequence]) -> int:
-    n = len(m)
-    for row in m:
-        if len(row) != n:
-            raise DimensionMismatchError(f"matrix is not square: {n} rows, row of length {len(row)}")
-    return n
-
-
 def _order(m: IntRows) -> int:
     """Order of a square matrix given as row lists or as dict rows."""
     n = len(m)
@@ -147,9 +141,21 @@ def det_int(m: IntRows, *, nonzeros: int | None = None) -> int:
     if not _is_sparse(n, _nonzeros(m) if nonzeros is None else nonzeros):
         return _det_bareiss(_dense_rows(m, n))
     rows = _sparse_rows(m)
-    p = _prime_above(2 * _hadamard_bound(rows))
+    p = prime_above(2 * _hadamard_bound(rows))
     if p is None:
         return _det_bareiss(_dense_rows(m, n))
+    return _det_mod_rows(rows, p)
+
+
+def det_mod(m: IntRows, p: int) -> int:
+    """det(m) mod a prime p, as the residue of least absolute value, for a
+    square integer matrix given as `det_int` takes it: the symmetric kernel
+    when m is symmetric, the Markowitz kernel otherwise."""
+    _order(m)
+    return _det_mod_rows(_sparse_rows(m), p)
+
+
+def _det_mod_rows(rows: list[dict[int, int]], p: int) -> int:
     if all(rows[j].get(i, 0) == x for i, row in enumerate(rows) for j, x in row.items()):
         return _det_symmetric(rows, p)
     return _det_modular(rows, p)
@@ -199,7 +205,7 @@ def _hadamard_bound(rows: Sequence[dict[int, int]]) -> int:
     return isqrt(product) + 1
 
 
-def _prime_above(bound: int) -> int | None:
+def prime_above(bound: int) -> int | None:
     """Smallest tabled prime 2^k - c greater than `bound`, or None."""
     for k, c in PRIMES:
         p = (1 << k) - c
@@ -375,31 +381,21 @@ def _det_bareiss(m: Sequence[Sequence[int]]) -> int:
 
 
 def det_rat(m: Sequence[Sequence]) -> Fraction:
-    """Exact determinant over the rationals by Gaussian elimination."""
-    n = _square_size(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            det = -det
-        pivot = a[k][k]
-        det *= pivot
-        for i in range(k + 1, n):
-            factor = a[i][k] / pivot
-            if factor:
-                row_i, row_k = a[i], a[k]
-                for j in range(k, n):
-                    row_i[j] -= factor * row_k[j]
-    return det
+    """Exact determinant of a square rational matrix: each row scaled to
+    integers by the lcm of its denominators, `det_int` of the result, and
+    that divided by the product of the scales."""
+    scaled, scale = [], 1
+    for row in m:
+        row = [Fraction(x) for x in row]
+        d = lcm(*(x.denominator for x in row))
+        scaled.append([x.numerator * (d // x.denominator) for x in row])
+        scale *= d
+    return Fraction(det_int(scaled), scale)
 
 
 def minor_matrix(m: Sequence[Sequence], row: int, col: int) -> list[list]:
     """Copy of a square matrix with 1-based `row` and `col` deleted."""
-    n = _square_size(m)
+    n = _order(m)
     if not (1 <= row <= n and 1 <= col <= n):
         raise IndexOutOfRangeError(f"minor indices ({row},{col}) outside 1..{n}")
     return [
@@ -413,7 +409,7 @@ def add_outer_product(
     m: Sequence[Sequence[int]], u: Sequence[int], v: Sequence[int]
 ) -> IntMatrix:
     """Entrywise M + u v^T for an n x n matrix and length-n vectors."""
-    n = _square_size(m)
+    n = _order(m)
     if len(u) != n or len(v) != n:
         raise DimensionMismatchError(f"vector lengths {len(u)}, {len(v)} do not match n={n}")
     return [[m[i][j] + u[i] * v[j] for j in range(n)] for i in range(n)]
@@ -455,7 +451,7 @@ def adjugate(m: Sequence[Sequence[int]]) -> IntMatrix:
     the scale this library targets; the 1x1 case is [[1]] by the empty
     minor convention.
     """
-    n = _square_size(m)
+    n = _order(m)
     if n == 0:
         raise DimensionMismatchError("adjugate requires n >= 1")
     return [

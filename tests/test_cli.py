@@ -4,9 +4,10 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
-from treecount import cli
+from treecount import cli, kirchhoff, linalg
 from treecount.cli import EXIT_MISMATCH, EXIT_METHOD, EXIT_OK, EXIT_ORACLE, EXIT_PARSE
 
 
@@ -262,6 +263,47 @@ def test_exit_code_method_unavailable(capsys):
     code, _, err = run(capsys, "verify", "--family", "complete:3", "--methods", "schur")
     assert code == EXIT_METHOD
     assert "bipartite" in err
+
+
+def test_exit_code_method_unavailable_when_schur_bound_exceeds_the_primes(capsys, monkeypatch):
+    monkeypatch.setattr(linalg, "PRIMES", ((64, 59),))
+    code, _, err = run(capsys, "count", "--family", "ferrers:4,4,3,2,1", "--method", "schur")
+    assert code == EXIT_METHOD
+    assert "schur" in err
+    # verify leaves schur out, as for a graph that is not bipartite
+    code, out, _ = run(capsys, "verify", "--family", "ferrers:4,4,3,2,1")
+    assert code == EXIT_OK
+    assert "schur" not in out
+    assert "all methods agree: tau = 576" in out
+
+
+def test_no_counting_method_builds_a_fraction(capsys, monkeypatch, tmp_path):
+    """schur counts over one residue: no CLI method constructs a Fraction,
+    and schur calls neither the rational determinant nor s_matrix."""
+    made = []
+    real_new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    Fraction(1, 2)
+    assert made == [(1, 2)]  # the spy sees constructions
+    made.clear()
+    unused = []
+    monkeypatch.setattr(linalg, "det_rat", lambda *args: unused.append("det_rat"))
+    monkeypatch.setattr(kirchhoff, "s_matrix", lambda *args: unused.append("s_matrix"))
+    path = tmp_path / "g.edges"
+    path.write_text("6 6\n1 4\n1 5\n2 5\n2 6\n3 6\n3 4\n")  # the 6-cycle
+    for argv in (
+        ["count", "--family", "ferrers:4,4,3,2,1", "--method", "schur"],
+        ["count", "--file", str(path), "--method", "schur"],
+        ["verify", "--family", "bipartite:2,3"],
+        ["verify", "--file", str(path)],
+    ):
+        assert run(capsys, *argv)[0] == EXIT_OK, argv
+    assert made == [] and unused == []
 
 
 def test_exit_code_formula_needs_family(capsys, tmp_path):

@@ -3,12 +3,16 @@ import pytest
 from treecount import (
     EdgeListParseError,
     build_graph,
+    cli,
+    edgelist,
     format_edgelist,
     gen_ferrers,
     parse_edgelist,
     read_edgelist,
     write_edgelist,
 )
+
+from treecount.graph import MAX_VERTICES
 
 from conftest import DIAMOND_EDGES
 
@@ -55,3 +59,29 @@ def test_parse_single_vertex():
 def test_parse_rejects_malformed_documents(text):
     with pytest.raises(EdgeListParseError):
         parse_edgelist(text)
+
+
+def test_header_vertex_count_is_capped_before_allocating(monkeypatch, tmp_path, capsys):
+    """A header declaring more than MAX_VERTICES vertices is a parse error
+    (exit 2), raised before the Graph, whose adjacency sets are the
+    allocation, is built.  The spy never builds a Graph above the cap."""
+    built = []
+    real_graph = edgelist.Graph
+
+    def spy(n, edges):
+        built.append(n)
+        assert n <= MAX_VERTICES, f"Graph({n}) built above the cap"
+        return real_graph(n, edges)
+
+    monkeypatch.setattr(edgelist, "Graph", spy)
+    assert parse_edgelist(f"{MAX_VERTICES} 0\n").n == MAX_VERTICES
+    assert built == [MAX_VERTICES]
+    built.clear()
+    for text in (f"{MAX_VERTICES + 1} 0\n", "1000000000 0\n", "1000000000 1\n1 2\n"):
+        with pytest.raises(EdgeListParseError, match="limit"):
+            parse_edgelist(text)
+    path = tmp_path / "huge.edges"
+    path.write_text("1000000000 0\n")
+    assert cli.main(["count", "--file", str(path)]) == cli.EXIT_PARSE
+    assert "limit" in capsys.readouterr().err
+    assert built == []

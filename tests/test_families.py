@@ -10,6 +10,7 @@ from treecount import (
     Graph,
     NotThresholdOrderedError,
     build_graph,
+    cli,
     conjugate_partition,
     count_complete,
     count_complete_bipartite,
@@ -307,3 +308,22 @@ def test_parse_family_rejects_malformed_specs(spec):
 def test_family_rejects_unknown_kind():
     with pytest.raises(FamilySpecError):
         Family("bogus", ("dd",))
+
+
+def test_family_sizes_are_capped_before_expanding(monkeypatch, capsys):
+    """The sum of C * V over a spec's sizes is checked against the vertex
+    cap before any CxV token is expanded, so a huge repeat count is a spec
+    error (exit 2), not an allocation."""
+    monkeypatch.setattr(families, "MAX_VERTICES", 10)
+    for spec in ("complete:10", "bipartite:4,6", "multipartite:5x2", "ferrers:10x1", "ferrers:2x4,2"):
+        parse_family(spec)
+    for spec in ("complete:11", "bipartite:5,6", "multipartite:3x4", "ferrers:11x1", "ferrers:2x4,3", "ferrers:1000x1"):
+        with pytest.raises(FamilySpecError, match="limit"):
+            parse_family(spec)
+    # a zero size is rejected before the sum, so it cannot hide a repeat count
+    with pytest.raises(FamilySpecError, match="positive"):
+        parse_family("multipartite:1000x0")
+    monkeypatch.undo()
+    assert families.MAX_VERTICES == 100_000
+    assert cli.main(["count", "--family", "ferrers:100001x1"]) == cli.EXIT_PARSE
+    assert "limit" in capsys.readouterr().err

@@ -3,9 +3,11 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treecount import (
     Bipartition,
+    BoundAbovePrimesError,
     Graph,
     IndexOutOfRangeError,
     IsolatedColumnVertexError,
@@ -17,10 +19,12 @@ from treecount import (
     check_bipartition,
     cli,
     det_int,
+    det_rat,
     find_bipartition,
     gen_complete,
     gen_complete_bipartite,
     gen_ferrers,
+    kirchhoff,
     linalg,
     parse_family,
     s_matrix,
@@ -284,6 +288,71 @@ def test_tau_bipartite_schur_and_s_matrix_check_a_given_bipartition():
             tau_bipartite_schur(square, bad)
         with pytest.raises(NotBipartitionError):
             s_matrix(square, bad)
+
+
+def random_bipartite(seed, r, c, p):
+    rng = random.Random(seed)
+    edges = {(i, r + j) for i in range(1, r + 1) for j in range(1, c + 1) if rng.random() < p}
+    edges |= {(rng.randint(1, r), r + j) for j in range(1, c + 1)}
+    return Graph(r + c, edges), Bipartition(tuple(range(1, r + 1)), tuple(range(r + 1, r + c + 1)))
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """(g, bp): rows 1..r and columns r+1..r+c, every column on at least
+    one edge; rows may be isolated, so some graphs are disconnected.  About
+    half have 30 to 40 rows."""
+    r = draw(st.one_of(st.integers(1, 12), st.integers(30, 40)))
+    c = draw(st.integers(1, 25))
+    p = draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]))
+    return random_bipartite(draw(st.integers(0, 2**32)), r, c, p)
+
+
+def rational_schur(g, bp):
+    """The reduction counted over the rationals: the reference side."""
+    deg_product = 1
+    for c in bp.cols:
+        deg_product *= g.degree(c)
+    return deg_product * det_rat(s_matrix(g, bp)) / (len(bp.rows) * len(bp.cols))
+
+
+@given(bipartite_graphs())
+@settings(max_examples=40, deadline=None)
+def test_bipartite_schur_matches_reduced_and_the_rational_reduction(gbp):
+    g, bp = gbp
+    assert tau_bipartite_schur(g, bp) == tau_reduced(g, 1, 1) == rational_schur(g, bp)
+
+
+def test_bipartite_schur_at_thirty_rows_and_more():
+    for seed, (r, c, p) in enumerate([(30, 20, 0.3), (35, 12, 0.5), (40, 25, 0.25)]):
+        g, bp = random_bipartite(seed, r, c, p)
+        value = tau_bipartite_schur(g, bp)
+        assert value > 0
+        assert value == tau_reduced(g, 1, 1) == rational_schur(g, bp)
+
+
+def test_bipartite_schur_self_check_catches_a_wrong_reciprocal(monkeypatch):
+    """1/(deg(c) + 1) in place of any one 1/deg(c) makes the count over the
+    rationals a non-integer, whose residue exceeds the degree-product
+    bound: the self-check raises."""
+    g, bp = random_bipartite(0, 8, 6, 0.5)
+    assert tau_bipartite_schur(g, bp) == tau_reduced(g, 1, 1) > 0
+    primes = []
+    real_prime_above, real_reduction = linalg.prime_above, kirchhoff._reduction
+    monkeypatch.setattr(linalg, "prime_above", lambda bound: primes.append(real_prime_above(bound)) or primes[-1])
+    for c in bp.cols:
+
+        def perturbed(g, bp, reciprocal, c=c):
+            return real_reduction(g, bp, {**reciprocal, c: pow(g.degree(c) + 1, -1, primes[-1])})
+
+        with mock.patch.object(kirchhoff, "_reduction", perturbed), pytest.raises(AssertionError):
+            tau_bipartite_schur(g, bp)
+
+
+def test_bipartite_schur_bound_above_the_primes(monkeypatch):
+    monkeypatch.setattr(linalg, "PRIMES", ((64, 59),))
+    with pytest.raises(BoundAbovePrimesError):
+        tau_bipartite_schur(gen_complete_bipartite(1, 1))
 
 
 def test_method_agreement_on_random_corpus(diamond):

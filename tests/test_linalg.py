@@ -13,6 +13,7 @@ from treecount import (
     add_outer_product,
     adjugate,
     det_int,
+    det_mod,
     det_perturbed,
     det_rat,
     minor_matrix,
@@ -24,7 +25,7 @@ from treecount.linalg import (
     _det_modular,
     _det_symmetric,
     _hadamard_bound,
-    _prime_above,
+    prime_above,
 )
 
 from conftest import DIAMOND_EDGES, random_graph
@@ -117,6 +118,27 @@ def test_det_rat_exact():
     assert det_rat([[half, 1], [1, half]]) == Fraction(-3, 4)
     assert det_rat([]) == 1
     assert det_rat([[1, 2], [2, 4]]) == 0
+    # unequal denominators in one row, and an all-zero row
+    third, sixth = Fraction(1, 3), Fraction(1, 6)
+    assert det_rat([[half, third], [sixth, Fraction(3, 4)]]) == Fraction(3, 8) - Fraction(1, 18)
+    assert det_rat([[half, third, 1], [0, 0, 0], [sixth, 2, Fraction(5, 7)]]) == 0
+    with pytest.raises(DimensionMismatchError):
+        det_rat([[half, 1], [1]])
+
+
+rational_matrices = st.integers(min_value=0, max_value=5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+@given(rational_matrices)
+@settings(max_examples=80, deadline=None)
+def test_det_rat_matches_naive_expansion(m):
+    assert det_rat(m) == det_naive(m)
 
 
 def test_minor_matrix_worked_example():
@@ -213,7 +235,7 @@ def sparse_rows(m):
 def det_modular(m):
     """_det_modular with the prime det_int would pick for m."""
     rows = sparse_rows(m)
-    return _det_modular(rows, _prime_above(2 * _hadamard_bound(rows)))
+    return _det_modular(rows, prime_above(2 * _hadamard_bound(rows)))
 
 
 @st.composite
@@ -291,18 +313,18 @@ def test_det_modular_matches_bareiss_on_sparse_nonsymmetric(n, per_row, seed):
 
 
 def test_prime_above():
-    assert _prime_above(0) == 2**64 - 59
-    assert _prime_above(2**64 - 60) == 2**64 - 59
-    assert _prime_above(2**64 - 59) == 2**96 - 17
-    assert _prime_above(2**130) == 2**160 - 47
+    assert prime_above(0) == 2**64 - 59
+    assert prime_above(2**64 - 60) == 2**64 - 59
+    assert prime_above(2**64 - 59) == 2**96 - 17
+    assert prime_above(2**130) == 2**160 - 47
     # the seam between the pseudo-Mersenne primes and the Mersenne primes
-    assert _prime_above(2**1024 - 106) == 2**1024 - 105
-    assert _prime_above(2**1024 - 105) == 2**1279 - 1
-    assert _prime_above(2**1279 - 2) == 2**1279 - 1
-    assert _prime_above(2**1279 - 1) == 2**2203 - 1
+    assert prime_above(2**1024 - 106) == 2**1024 - 105
+    assert prime_above(2**1024 - 105) == 2**1279 - 1
+    assert prime_above(2**1279 - 2) == 2**1279 - 1
+    assert prime_above(2**1279 - 1) == 2**2203 - 1
     # the ceiling
-    assert _prime_above(2**44497 - 2) == 2**44497 - 1
-    assert _prime_above(2**44497 - 1) is None
+    assert prime_above(2**44497 - 2) == 2**44497 - 1
+    assert prime_above(2**44497 - 1) is None
 
 
 def is_probable_prime(n: int) -> bool:
@@ -377,6 +399,29 @@ def test_det_int_kernel_choice(monkeypatch):
     assert used == ["_det_symmetric", "_det_modular", "_det_bareiss", "_det_bareiss"]
 
 
+@given(degenerate_matrices(), st.sampled_from(SMALL_PRIMES + [2**64 - 59]))
+@settings(max_examples=150, deadline=None)
+def test_det_mod_residue_on_either_row_form(m, p):
+    residue = det_mod(m, p)
+    assert (residue - det_naive(m)) % p == 0
+    assert abs(residue) <= p // 2
+    assert det_mod(sparse_rows(m), p) == residue
+
+
+def test_det_mod_kernel_choice_and_checks(monkeypatch):
+    cycle = Graph(150, [(i, i % 150 + 1) for i in range(1, 151)]).laplacian()
+    used = spy_kernels(monkeypatch)
+    p = 2**64 - 59
+    assert det_mod(minor_matrix(cycle, 1, 1), p) == 150
+    assert det_mod(minor_matrix(cycle, 1, 2), p) == -150
+    assert det_mod([[1, 2], [3, 4]], 7) == -2
+    assert used == ["_det_symmetric", "_det_modular", "_det_modular"]
+    with pytest.raises(DimensionMismatchError):
+        det_mod([[1, 2], [3]], p)
+    with pytest.raises(IndexOutOfRangeError):
+        det_mod([{0: 1}, {2: 1}], p)
+
+
 def test_det_int_falls_back_when_bound_exceeds_largest_prime(monkeypatch):
     # 1500-bit entries on 30 rows give a Hadamard bound of about 45000 bits,
     # above the largest tabled prime, so Bareiss must run.
@@ -390,7 +435,7 @@ def test_det_int_falls_back_when_bound_exceeds_largest_prime(monkeypatch):
         expected *= m[i][i]
         if i:
             m[i][i - 1] = rng.getrandbits(1500)  # lower bidiagonal
-    assert _prime_above(2 * _hadamard_bound(sparse_rows(m))) is None
+    assert prime_above(2 * _hadamard_bound(sparse_rows(m))) is None
     assert det_int(m) == expected
     assert used == ["_det_bareiss"]
 

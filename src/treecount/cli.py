@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import functools
 import json
 import os
@@ -103,6 +104,13 @@ def _parse_method_list(text: str) -> list[str]:
     return methods
 
 
+def _digits(value: int) -> str:
+    """The decimal digits of a count.  str() refuses integers above 4300
+    digits (the interpreter's conversion limit, which is process-wide state
+    the library leaves alone); Decimal converts any size."""
+    return str(decimal.Decimal(value))
+
+
 def cmd_count(args) -> int:
     g, fam = _load_input(args)
     limit = _subset_limit()
@@ -110,14 +118,14 @@ def cmd_count(args) -> int:
     if args.json:
         print(json.dumps({
             "method": args.method,
-            "tau": str(value),
+            "tau": _digits(value),
             "n": g.n,
             "edges": len(g.edges),
             "elapsed_ms": round(elapsed_ms, 3),
         }))
     else:
         print(f"n={g.n} edges={len(g.edges)} method={args.method} elapsed_ms={elapsed_ms:.3f}")
-        print(f"tau = {value}")
+        print(f"tau = {_digits(value)}")
     return EXIT_OK
 
 
@@ -139,7 +147,7 @@ def _run_methods(g: Graph, fam, methods: list[str] | None, limit: int) -> list[t
 def _agreed_value(rows: list[tuple[str, int, float]], where: str = "") -> int:
     values = {value for _, value, _ in rows}
     if len(values) > 1:
-        detail = ", ".join(f"{m}={v}" for m, v, _ in rows)
+        detail = ", ".join(f"{m}={_digits(v)}" for m, v, _ in rows)
         raise MismatchError(f"{where}methods disagree: {detail}")
     return values.pop()
 
@@ -182,8 +190,8 @@ def cmd_verify(args) -> int:
     width = max(len(m) for m, _, _ in rows)
     print(f"{'method'.ljust(width)}  {'tau'.rjust(12)}  elapsed_ms")
     for method, value, ms in rows:
-        print(f"{method.ljust(width)}  {str(value).rjust(12)}  {ms:10.3f}")
-    print(f"all methods agree: tau = {_agreed_value(rows)}")
+        print(f"{method.ljust(width)}  {_digits(value).rjust(12)}  {ms:10.3f}")
+    print(f"all methods agree: tau = {_digits(_agreed_value(rows))}")
     return EXIT_OK
 
 
@@ -234,7 +242,7 @@ def _substitute_size(pattern: str, size: int) -> str:
     return "".join(str(size) if token == "k" else token for token in tokens)
 
 
-def _parse_sizes(text: str) -> list[int]:
+def _parse_sizes(text: str) -> range:
     match = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", text)
     if not match:
         raise argparse.ArgumentTypeError(f"sizes must look like A..B, got {text!r}")
@@ -242,7 +250,7 @@ def _parse_sizes(text: str) -> list[int]:
     high = int(match.group(2)) if match.group(2) else low
     if low < 1 or high < low:
         raise argparse.ArgumentTypeError(f"bad size range {text!r}")
-    return list(range(low, high + 1))
+    return range(low, high + 1)
 
 
 def cmd_bench(args) -> int:
@@ -255,7 +263,7 @@ def cmd_bench(args) -> int:
         g = fam.graph()
         rows = _run_methods(g, fam, methods, limit)
         for method, value, ms in rows:
-            writer.writerow([args.family, size, method, str(value), f"{ms:.3f}"])
+            writer.writerow([args.family, size, method, _digits(value), f"{ms:.3f}"])
         _agreed_value(rows, f"size {size}: ")
     return EXIT_OK
 

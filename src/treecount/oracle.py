@@ -4,16 +4,25 @@ Two deliberately independent oracles: exhaustive enumeration of (n-1)-edge
 subsets, and the deletion-contraction recurrence on a multigraph.  Neither
 touches the linear algebra, so a determinant bug cannot validate itself.
 Both are desk-scale by design; the subset oracle refuses oversized inputs
-outright rather than silently skipping.
+outright rather than silently skipping.  Both spend their work on the
+trees they count rather than on what they reject.
+
+The subset scan is a backtracking search over the sorted edges, as in
+Read and Tarjan's spanning-tree listing: it drops a branch when an edge
+would close a cycle, and when some component of the forest taken so far
+has no incident edge left ahead of the scan.  The last two edges of a
+tree are not enumerated but counted in one pass over the remaining edges.
 
 The recurrence splits a whole bundle at a time: for the k parallel copies
 of an edge ab, every spanning tree uses none of them or exactly one, so
 tau(G) = tau(G - all k copies) + k * tau(G / ab).  Before each split it
 strips pendant vertices, found with a queue: a vertex whose only bundle has
 k copies is joined to the tree by one of them, a factor of k, and a vertex
-with no bundle left (other than the last one) leaves no spanning tree.  The
-recurrence is linear, so it runs on an explicit stack of weighted states,
-as the subset scan does: neither oracle depends on Python's recursion limit.
+with no bundle left (other than the last one) leaves no spanning tree.
+Different split orders reach the same stripped multigraph, so each call
+keeps a cache from stripped state to tau (Haggard, Pearce and Royle's
+deletion-contraction with a subgraph cache).  Both oracles run on explicit
+stacks: neither depends on Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -69,11 +78,17 @@ def tau_subsets(g: Graph, limit: int = DEFAULT_SUBSET_LIMIT) -> int:
     """Count spanning trees by enumerating (n-1)-edge subsets.
 
     Equivalent to testing every subset with is_spanning_tree, implemented
-    as a backtracking scan that abandons a branch as soon as a chosen edge
-    closes a cycle.  Each edge is first taken, when it joins two
-    union-find components, and then skipped; the taken edges form an
-    explicit stack of undo records.  Refuses to run when C(|E|, n-1)
-    exceeds `limit`.
+    as a backtracking scan over the sorted edges.  Each edge is first
+    taken, when it joins two union-find components, and then skipped; the
+    taken edges form an explicit stack of undo records.  A branch is
+    abandoned as soon as a chosen edge would close a cycle, and as soon as
+    a component of the taken forest has no incident edge left at or after
+    the scan position: each root keeps the last edge index touching its
+    component, the larger of the two on a merge, restored on undo.  The
+    last two levels are counted in one pass over the remaining edges: with
+    two components left every crossing edge completes a tree, and with
+    three, any two crossing edges of different classes do.  Refuses to run
+    when C(|E|, n-1) exceeds `limit`.
     """
     n = g.n
     edges = sorted(g.edges)
@@ -82,15 +97,24 @@ def tau_subsets(g: Graph, limit: int = DEFAULT_SUBSET_LIMIT) -> int:
         raise OracleTooLargeError(
             f"C({len(edges)},{need}) exceeds the subset guard of {limit}"
         )
+    if need == 0:
+        return 1
+    last = [-1] * (n + 1)  # per root: the last edge index touching its component
+    for idx, (a, b) in enumerate(edges):
+        last[a] = last[b] = idx
+    if min(last[1:]) < 0:  # an isolated vertex
+        return 0
     total_edges = len(edges)
     parent = list(range(n + 1))
     size = [1] * (n + 1)
-    taken: list[tuple[int, int, int]] = []  # (edge index, new root, merged root)
+    taken: list[tuple[int, int, int, int]] = []  # (edge index, new root, merged root, its last)
     count = 0
     idx = 0
     while True:
-        chosen = len(taken)
-        if chosen < need and total_edges - idx >= need - chosen:
+        left = need - len(taken)
+        if left <= 2:
+            count += _last_levels(edges, idx, parent, left)
+        elif total_edges - idx >= left:
             a, b = edges[idx]
             while parent[a] != a:
                 a = parent[a]
@@ -101,18 +125,42 @@ def tau_subsets(g: Graph, limit: int = DEFAULT_SUBSET_LIMIT) -> int:
                     a, b = b, a
                 parent[b] = a
                 size[a] += size[b]
-                taken.append((idx, a, b))
-            idx += 1
-            continue
-        if chosen == need:
-            count += 1
-        if not taken:
-            return count
-        # undo the last taken edge and go on with it skipped
-        idx, root_a, root_b = taken.pop()
-        parent[root_b] = root_b
-        size[root_a] -= size[root_b]
-        idx += 1
+                taken.append((idx, a, b, last[a]))
+                last[a] = max(last[a], last[b])
+            if last[a] > idx:  # the component (merged, or closed on) has edges ahead
+                idx += 1
+                continue
+        # undo the last taken edge and go on with it skipped, while that
+        # leaves both of its components an edge ahead
+        while True:
+            if not taken:
+                return count
+            idx, root_a, root_b, last[root_a] = taken.pop()
+            parent[root_b] = root_b
+            size[root_a] -= size[root_b]
+            if last[root_a] > idx and last[root_b] > idx:
+                idx += 1
+                break
+
+
+def _last_levels(edges: list[tuple[int, int]], idx: int, parent: list[int], left: int) -> int:
+    """The ways to finish a forest of left + 1 components (left <= 2) with
+    `left` edges from edges[idx:]: the crossing edges when two are left,
+    and when three, xy + yz + zx for x, y, z crossing edges per class."""
+    crossing = 0
+    classes: dict[int, int] = {}  # by a + b, which names the pair when three roots are left
+    for a, b in edges[idx:]:
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a != b:
+            crossing += 1
+            classes[a + b] = classes.get(a + b, 0) + 1
+    if left == 1:
+        return crossing
+    x, y, z = (*classes.values(), 0, 0)[:3]
+    return x * y + y * z + z * x
 
 
 @dataclass(frozen=True)
@@ -147,42 +195,69 @@ class Multigraph:
 def tau_delcon(mg: Multigraph) -> int:
     """Count spanning trees by the deletion-contraction recurrence.
 
-    A state is (weight, vertex count, bundles {(a, b): k}); tau(G) is the
-    total counted so far plus weight * tau(state) summed over the stack,
-    which starts as [(1, n, G's bundles)].  Each state first loses its
-    pendant vertices (a factor of k each), then counts its weight if one
-    vertex is left, and 0 if it is disconnected; otherwise its first bundle
-    in sorted order, ab with k copies, splits it into (weight, G - ab) and
-    (weight * k, G / ab), b merged into a.
+    A state is (vertex count, bundles {(a, b): k}).  Each state first loses
+    its pendant vertices (a factor of k each); one vertex left counts 1, and
+    a disconnected state 0.  Otherwise its first bundle in sorted order, ab
+    with k copies, splits it: tau = tau(G - ab) + k * tau(G / ab), b merged
+    into a.  The recurrence runs on an explicit post-order stack: a split
+    pushes a combine frame under its two halves, and the frame adds their
+    results once both are on the value stack.
+
+    Different split orders reach the same stripped state, so a per-call
+    cache maps its frozen bundles (which, after stripping, also fix the
+    vertex count) to tau.  A state is stored only the second time its
+    hash is seen: a chain of states seen once, such as the shrinking
+    cycles of a long cycle, keeps nothing but one int per state.
     """
-    total = 0
-    stack = [(1, mg.n, dict(mg.edges))]
+    cache: dict[frozenset, int] = {}
+    seen: set[int] = set()
+    values: list[int] = []
+    stack: list[tuple] = [(mg.n, dict(mg.edges))]
     while stack:
-        weight, vertices, edges = stack.pop()
+        task = stack.pop()
+        if len(task) == 3:  # a combine frame: both halves of its split are on `values`
+            factor, k, key = task
+            contracted = values.pop()
+            tau = values.pop() + k * contracted
+            if key is not None:
+                cache[key] = tau
+            values.append(factor * tau)
+            continue
+        vertices, edges = task
         adj: dict[int, dict[int, int]] = {}
         for (a, b), k in edges.items():
             adj.setdefault(a, {})[b] = k
             adj.setdefault(b, {})[a] = k
         if len(adj) < vertices:  # a vertex without bundles: no tree unless it is alone
-            total += weight if vertices == 1 else 0
+            values.append(1 if vertices == 1 else 0)
             continue
+        factor = 1
         queue = deque(v for v, bundles in adj.items() if len(bundles) == 1)
         while queue:
             v = queue.popleft()
             if not adj[v]:  # stripped into by a pendant neighbour: last vertex, or disconnected
                 continue
             ((u, k),) = adj.pop(v).items()
-            weight *= k
+            factor *= k
             vertices -= 1
             del edges[(v, u) if v < u else (u, v)]
             del adj[u][v]
             if len(adj[u]) == 1:
                 queue.append(u)
         if vertices == 1:
-            total += weight
+            values.append(factor)
+            continue
+        key = frozenset(edges.items())
+        tau = cache.get(key)
+        if tau is not None:
+            values.append(factor * tau)
             continue
         if not _connected(adj):
+            values.append(0)
             continue
+        if hash(key) not in seen:
+            seen.add(hash(key))
+            key = None
         a, b = min(edges)
         k = edges.pop((a, b))
         contracted = dict(edges)
@@ -191,9 +266,10 @@ def tau_delcon(mg: Multigraph) -> int:
                 del contracted[(b, c) if b < c else (c, b)]
                 e = (a, c) if a < c else (c, a)
                 contracted[e] = contracted.get(e, 0) + kc
-        stack.append((weight, vertices, edges))
-        stack.append((weight * k, vertices - 1, contracted))
-    return total
+        stack.append((factor, k, key))
+        stack.append((vertices - 1, contracted))
+        stack.append((vertices, edges))  # deletion first: the smaller contraction waits
+    return values.pop()
 
 
 def _connected(adj: dict[int, dict[int, int]]) -> bool:

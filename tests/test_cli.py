@@ -229,6 +229,47 @@ def test_bench_pattern_substitution(capsys):
     assert [r[3] for r in rows] == ["4", "81"]  # square cases match m^(n-1) n^(m-1)
 
 
+# tau(K_{2,15000}) = 2^14999 * 15000 has 4520 digits, above the 4300 that
+# str() converts; the formula gives it without a determinant of order 15002
+WIDE_FAMILY = "bipartite:2,15000"
+WIDE_TAU = 2**14999 * 15000
+
+
+def digits_equal(text: str, value: int) -> bool:
+    """text is value's decimal digits, checked in chunks of 3000, under the
+    interpreter's conversion limit."""
+    return len(text) == 4520 and int(text[:-3000]) * 10**3000 + int(text[-3000:]) == value
+
+
+def test_count_prints_a_count_above_the_str_limit(capsys):
+    code, out, _ = run(capsys, "count", "--family", WIDE_FAMILY, "--method", "formula")
+    assert code == EXIT_OK
+    assert digits_equal(tau_from_text(out), WIDE_TAU)
+    code, out, _ = run(capsys, "count", "--family", WIDE_FAMILY, "--method", "formula", "--json")
+    assert code == EXIT_OK
+    assert digits_equal(json.loads(out)["tau"], WIDE_TAU)
+
+
+def test_verify_and_bench_print_a_count_above_the_str_limit(capsys):
+    code, out, _ = run(capsys, "verify", "--family", WIDE_FAMILY, "--methods", "formula")
+    assert code == EXIT_OK
+    table_row, agreed = out.strip().splitlines()[1:]
+    assert digits_equal(table_row.split()[1], WIDE_TAU)
+    assert digits_equal(agreed.removeprefix("all methods agree: tau = "), WIDE_TAU)
+    code, out, _ = run(
+        capsys, "bench", "--family", "bipartite:2,k", "--sizes", "15000", "--methods", "formula"
+    )
+    assert code == EXIT_OK
+    assert digits_equal(out.strip().splitlines()[1].split(",")[-2], WIDE_TAU)
+
+
+def test_bench_sizes_are_a_lazy_range():
+    sizes = cli._parse_sizes("1..1000000000")
+    assert isinstance(sizes, range)
+    assert (sizes.start, sizes.stop, len(sizes)) == (1, 1000000001, 10**9)
+    assert cli._parse_sizes("7") == range(7, 8)
+
+
 def test_exit_code_parse_error_on_bad_file(capsys, tmp_path):
     path = tmp_path / "bad.edges"
     path.write_text("3 2\n1 2\n")

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from collections import Counter
@@ -66,6 +67,25 @@ def test_tau_subsets_equals_literal_enumeration():
     for _ in range(25):
         g = random_graph(rng, rng.randint(1, 6), rng.uniform(0.2, 0.9))
         assert tau_subsets(g) == tau_by_literal_enumeration(g)
+
+
+def all_labelled_graphs(n):
+    """Every simple graph on vertices 1..n: 2^C(n,2) of them, including
+    the edgeless ones, those with isolated vertices and the disconnected."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    for mask in range(1 << len(pairs)):
+        yield build_graph(n, [p for bit, p in enumerate(pairs) if mask >> bit & 1])
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_oracles_match_literal_enumeration_on_every_labelled_graph(n):
+    for g in all_labelled_graphs(n):
+        expected = tau_by_literal_enumeration(g)
+        guard = math.comb(len(g.edges), n - 1)
+        assert tau_subsets(g, limit=guard) == expected, sorted(g.edges)
+        with pytest.raises(OracleTooLargeError):
+            tau_subsets(g, limit=guard - 1)
+        assert tau_delcon(Multigraph.from_graph(g)) == expected, sorted(g.edges)
 
 
 def test_tau_subsets_guard_is_a_hard_error():

@@ -67,6 +67,18 @@ def _check_bits(bits) -> str:
     return text
 
 
+def _parse_bits(text: str) -> str:
+    """A threshold creation sequence from spec text, whose length, one less
+    than the vertex count, is checked against MAX_VERTICES first."""
+    text = text.strip()
+    if len(text) >= MAX_VERTICES:
+        raise FamilySpecError(
+            f"threshold sequence of {len(text)} steps makes {len(text) + 1} vertices, "
+            f"above the limit of {MAX_VERTICES}"
+        )
+    return _check_bits(text)
+
+
 def gen_complete(n: int) -> Graph:
     """Complete graph on n vertices: every pair joined."""
     _check_positive("n", n)
@@ -333,7 +345,7 @@ KINDS = {
         lambda args: count_ferrers(args),
     ),
     "threshold": (
-        lambda text: (_check_bits(text.strip()),),
+        lambda text: (_parse_bits(text),),
         lambda args: gen_threshold(args[0]),
         lambda args: count_threshold(args[0]),
     ),

@@ -28,24 +28,24 @@ Integer determinants (`det_int`) have three exact kernels:
   0, the block left goes to the Markowitz kernel; the Schur-complement
   identity det = prod(pivots) * det(block left) is exact over GF(P).
 
-`det_int` picks the kernel from the matrix's order and nonzero count: a
-modular one for order at least SPARSE_MIN_ORDER and at most
-SPARSE_MAX_PER_ROW nonzeros per row on average, when 2H fits under the
-largest tabled prime; Bareiss otherwise.  `det_mod` gives det mod a
-caller's prime through the same two modular kernels, the symmetric one
-when the matrix is symmetric, for callers that bound the value they
-recover themselves (the bipartite reduction in `kirchhoff`).
+`det_int` picks the kernel from the order and nonzero count of the matrix
+it receives, and from nothing else: a modular one for order at least
+SPARSE_MIN_ORDER and at most SPARSE_MAX_PER_ROW nonzeros per row on
+average, when 2H fits under the largest tabled prime; Bareiss otherwise.
+`det_mod` gives det mod a caller's prime through the same two modular
+kernels, the symmetric one when the matrix is symmetric, for callers that
+bound the value they recover themselves (the bipartite reduction in
+`kirchhoff`).
 
 A rank-one update has a second matrix with the same determinant up to
 sign.  The bordered matrix B = [[M, u], [v^T, -1]] of order n + 1 has the
 Schur complement M + u v^T on its trailing -1, so det B = -det(M + u v^T)
 (the matrix determinant lemma), and B is symmetric exactly when M is and
-u == v.  B holds only nnz(M) + nnz(u) + nnz(v) + 1 nonzeros.
-`det_perturbed` hands `det_int` the bordered matrix, as M's rows with a
-column n added and one last row, whenever the shape rule, counting the
-nonzeros of M alone at order n + 1, sends B to a modular kernel, and the
-dense M + u v^T otherwise: L + J of a sparse graph, zero only at its 2m
-edge entries, then takes the symmetric kernel on L plus one dense row and
+u == v.  `det_perturbed` hands `det_int` B, as M's rows with a column n
+added and one last row, whenever the shape rule sends B, with its
+nnz(M) + nnz(u) + nnz(v) + 1 nonzeros, to a modular kernel, and the dense
+M + u v^T otherwise: L + J of a sparse graph, zero only at its 2m edge
+entries, then takes the symmetric kernel on L plus one dense row and
 column (L is singular, so elimination reaches a zero diagonal and hands
 the block left to the Markowitz kernel: for a connected graph, only the
 last 2 x 2), while L + J = nI - L(complement) of a dense graph stays
@@ -92,12 +92,15 @@ PRIMES = (
     (9689, 1), (9941, 1), (11213, 1), (19937, 1), (21701, 1), (23209, 1),
     (44497, 1),
 )
-# det_int's kernel choice, measured on Laplacian minors of random graphs:
-# the modular kernel beat Bareiss at every order from 30 to 200 with up to
-# 9 nonzeros per row (average degree 8); with 11 or more it lost at some
-# orders (0.57-0.78x at 30 to 40), and below order 30 it lost from 7 per row.
+# det_int's kernel choice.  Below order 30 the modular kernel lost to
+# Bareiss from 7 nonzeros per row.  Modular time / Bareiss time in the 9-12
+# per row band at orders 30, 60 and 120 (best of 3, Python 3.11, 2 vCPUs):
+#   random non-symmetric, 10-12 per row    0.47-0.97  0.27-0.55  0.36-0.50
+#   rankone borders, average degree 8-10   0.48-0.93  0.23-0.37  0.19-0.28
+#   Temperley borders                      0.42-0.54  0.16-0.26  0.12-0.18
+#   minors without row 1 and column 2      0.61-0.85  0.29-0.42  0.18-0.29
 SPARSE_MIN_ORDER = 30
-SPARSE_MAX_PER_ROW = 9
+SPARSE_MAX_PER_ROW = 11
 
 
 class LinalgError(ValueError):
@@ -126,25 +129,21 @@ def _order(m: IntRows) -> int:
     return n
 
 
-def det_int(m: IntRows, *, nonzeros: int | None = None) -> int:
+def det_int(m: IntRows) -> int:
     """Exact determinant of a square integer matrix, given as row lists or
     as sparse rows {0-based column: entry}.
 
     Large sparse matrices go to a modular kernel, the symmetric one when
     m is symmetric, and all others to Bareiss elimination (see the module
-    docstring).  The shape rule counts the nonzero entries of m, or takes
-    `nonzeros` in their place when given: det_perturbed passes the count of
-    M alone for its bordered matrix.  The 0x0 matrix has determinant 1
-    (empty product).
+    docstring).  The 0x0 matrix has determinant 1 (empty product).
     """
     n = _order(m)
-    if not _is_sparse(n, _nonzeros(m) if nonzeros is None else nonzeros):
-        return _det_bareiss(_dense_rows(m, n))
-    rows = _sparse_rows(m)
-    p = prime_above(2 * _hadamard_bound(rows))
-    if p is None:
-        return _det_bareiss(_dense_rows(m, n))
-    return _det_mod_rows(rows, p)
+    if _is_sparse(n, _nonzeros(m)):
+        rows = _sparse_rows(m)
+        p = prime_above(2 * _hadamard_bound(rows))
+        if p is not None:
+            return _det_mod_rows(rows, p)
+    return _det_bareiss(_dense_rows(m, n))
 
 
 def det_mod(m: IntRows, p: int) -> int:
@@ -423,24 +422,20 @@ def det_perturbed(m: IntRows, u: Sequence[int], v: Sequence[int]) -> int:
     whose Schur complement on its trailing -1 is M + u v^T, so its
     determinant is -det(M + u v^T): M's rows as dicts with u in a column n
     added, and v with the -1 as one last row.  The border is symmetric
-    when M is and u == v, so L + J takes the symmetric kernel.  The
-    bordered matrix is used whenever det_int's shape rule, judging M's
-    nonzeros at order n + 1, sends it to a modular kernel, as for L + J of
-    a sparse graph, and the dense M + u v^T otherwise.  The border's own
-    2n + 1 entries are not counted: minimum-degree order leaves the dense
-    last row for the end, and a dense row and column cost about one update
-    of that row per pivot, not fill in M.
+    when M is and u == v, so L + J takes the symmetric kernel.  It is used
+    exactly when det_int's shape rule, on its nonzeros counted without
+    building it, sends it to a modular kernel, as for L + J of a sparse
+    graph; the dense M + u v^T is used otherwise.
     """
     n = _order(m)
     if len(u) != n or len(v) != n:
         raise DimensionMismatchError(f"vector lengths {len(u)}, {len(v)} do not match n={n}")
-    nonzeros = _nonzeros(m)
-    if _is_sparse(n + 1, nonzeros):
+    if _is_sparse(n + 1, _nonzeros(m) + 2 * n + 1 - countOf(u, 0) - countOf(v, 0)):
         bordered = [{**row, n: x} if x else row for row, x in zip(_sparse_rows(m), u)]
         last = {j: x for j, x in enumerate(v) if x}
         last[n] = -1
         bordered.append(last)
-        return -det_int(bordered, nonzeros=nonzeros)
+        return -det_int(bordered)
     return det_int(add_outer_product(_dense_rows(m, n), u, v))
 
 

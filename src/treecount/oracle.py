@@ -159,7 +159,7 @@ def _last_levels(edges: list[tuple[int, int]], idx: int, parent: list[int], left
             classes[a + b] = classes.get(a + b, 0) + 1
     if left == 1:
         return crossing
-    x, y, z = (*classes.values(), 0, 0)[:3]
+    x, y, z = (*classes.values(), 0, 0, 0)[:3]  # no class at all when no edge crosses
     return x * y + y * z + z * x
 
 

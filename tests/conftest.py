@@ -23,6 +23,15 @@ DIAMOND_TREES = [
     {(3, 4), (1, 3), (1, 2)},
 ]
 
+# (n, edges, tau) for graphs whose subset scan reaches three components, each
+# of at least 3 vertices, with no edge left ahead that crosses them.
+THREE_CLUSTER_GRAPHS = {
+    "connected": (9, [(1, 2), (1, 5), (1, 8), (2, 3), (2, 4), (2, 7), (3, 5), (3, 6),
+                      (3, 8), (3, 9), (4, 7), (5, 8), (6, 9)], 216),
+    "disconnected": (9, [(1, 6), (1, 7), (2, 4), (2, 5), (2, 9), (3, 8), (3, 9), (4, 5),
+                         (6, 7), (8, 9)], 0),
+}
+
 
 @pytest.fixture
 def diamond() -> Graph:

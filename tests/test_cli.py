@@ -7,8 +7,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from treecount import cli, kirchhoff, linalg
 from treecount.cli import EXIT_MISMATCH, EXIT_METHOD, EXIT_OK, EXIT_ORACLE, EXIT_PARSE
+
+from conftest import THREE_CLUSTER_GRAPHS
 
 
 def run(capsys, *argv):
@@ -164,6 +168,15 @@ def test_verify_file_lists_methods_in_table_order(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--file", str(path))
     assert code == EXIT_OK
     assert verify_methods(out) == ["reduced", "rankone", "temperley", "oracle", "delcon"]
+
+
+@pytest.mark.parametrize("name", THREE_CLUSTER_GRAPHS)
+def test_verify_file_three_cluster_graphs(capsys, tmp_path, name):
+    n, edges, tau = THREE_CLUSTER_GRAPHS[name]
+    code, out, _ = run(capsys, "verify", "--file", write_edges(tmp_path / "g.edges", n, edges))
+    assert code == EXIT_OK
+    assert "oracle" in verify_methods(out)
+    assert out.splitlines()[-1] == f"all methods agree: tau = {tau}"
 
 
 def test_verify_trivial_bipartite(capsys):

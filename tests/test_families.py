@@ -327,3 +327,22 @@ def test_family_sizes_are_capped_before_expanding(monkeypatch, capsys):
     assert families.MAX_VERTICES == 100_000
     assert cli.main(["count", "--family", "ferrers:100001x1"]) == cli.EXIT_PARSE
     assert "limit" in capsys.readouterr().err
+
+
+def test_threshold_sequence_is_capped(capsys, tmp_path):
+    """A creation sequence of s steps makes s + 1 vertices: s = MAX_VERTICES - 1
+    is the longest accepted, by count and by generate alike."""
+    path = str(tmp_path / "star.edges")
+    longest = "threshold:" + "i" * (families.MAX_VERTICES - 2) + "d"  # a star
+    assert cli.main(["count", "--family", longest, "--method", "formula"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "tau = 1"
+    assert cli.main(["generate", "--family", longest, "-o", path]) == cli.EXIT_OK
+    with open(path) as f:
+        assert f.readline() == f"{families.MAX_VERTICES} {families.MAX_VERTICES - 1}\n"
+    too_long = "threshold:" + "i" * (families.MAX_VERTICES - 1) + "d"
+    for argv in (
+        ["count", "--family", too_long, "--method", "formula"],
+        ["generate", "--family", too_long, "-o", path],
+    ):
+        assert cli.main(argv) == cli.EXIT_PARSE
+        assert "limit" in capsys.readouterr().err

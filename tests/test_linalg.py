@@ -17,6 +17,7 @@ from treecount import (
     det_perturbed,
     det_rat,
     minor_matrix,
+    tau_rank_one,
 )
 from treecount import linalg
 from treecount.linalg import (
@@ -396,7 +397,14 @@ def test_det_int_kernel_choice(monkeypatch):
     ones = [1] * 150
     assert det_int(add_outer_product(cycle, ones, ones)) == 150**3
     assert det_int(identity(9)) == 1
-    assert used == ["_det_symmetric", "_det_modular", "_det_bareiss", "_det_bareiss"]
+    rng = random.Random(5)
+    ten_per_row = [[0] * 40 for _ in range(40)]
+    for row in ten_per_row:
+        for j in rng.sample(range(40), 10):
+            row[j] = rng.choice([-1, 1]) * rng.randint(1, 9)
+    assert ten_per_row != [list(col) for col in zip(*ten_per_row)]  # not symmetric
+    assert det_int(ten_per_row) == _det_bareiss(ten_per_row)
+    assert used == ["_det_symmetric", "_det_modular", "_det_bareiss", "_det_bareiss", "_det_modular"]
 
 
 @given(degenerate_matrices(), st.sampled_from(SMALL_PRIMES + [2**64 - 59]))
@@ -474,6 +482,64 @@ def test_det_perturbed_matches_bareiss_on_sparse_updates(muv):
     assert det_perturbed(m, u, v) == _det_bareiss(add_outer_product(m, u, v))
 
 
+def spy_det_int_orders(monkeypatch):
+    """Record, in order, the orders of the matrices det_int receives."""
+    orders = []
+    real_det_int = linalg.det_int
+
+    def det_int_spy(m):
+        orders.append(len(m))
+        return real_det_int(m)
+
+    monkeypatch.setattr(linalg, "det_int", det_int_spy)
+    return orders
+
+
+def test_det_perturbed_borders_exactly_when_the_border_is_sparse(monkeypatch):
+    """det_perturbed hands det_int the border B = [[M, u], [v^T, -1]] exactly
+    when det_int's shape rule, counting the nonzeros of B as built here,
+    passes B, for M around 11 nonzeros per row and u, v dense, sparse or
+    all zero."""
+    rng = random.Random(17)
+
+    def vector(kind, n):
+        if kind == "zero":
+            return [0] * n
+        if kind == "sparse":
+            return [rng.randint(1, 9) if rng.random() < 0.1 else 0 for _ in range(n)]
+        return [rng.randint(-9, 9) for _ in range(n)]
+
+    orders = spy_det_int_orders(monkeypatch)
+    outcomes = set()
+    for _ in range(30):
+        n = rng.randint(linalg.SPARSE_MIN_ORDER - 2, 36)
+        m = [[0] * n for _ in range(n)]
+        for row in m:
+            for j in rng.sample(range(n), rng.randint(8, 12)):
+                row[j] = rng.randint(-3, 3)  # a zero now and then
+        u, v = (vector(kind, n) for kind in rng.choices(["dense", "sparse", "zero"], k=2))
+        border = [[*row, x] for row, x in zip(m, u)] + [[*v, -1]]
+        sparse = linalg._is_sparse(n + 1, sum(x != 0 for row in border for x in row))
+        orders.clear()
+        assert det_perturbed(m, u, v) == _det_bareiss(add_outer_product(m, u, v))
+        assert orders == [n + 1 if sparse else n]
+        outcomes.add(sparse)
+    assert outcomes == {True, False}
+
+
+def test_rank_one_border_takes_modular_kernel(monkeypatch):
+    """tau_rank_one with u = 1 and v = e_1 on a graph of average degree 8:
+    the border, not symmetric, goes to the Markowitz kernel."""
+    pairs = [(i, j) for i in range(1, 121) for j in range(i + 1, 121)]
+    g = Graph(120, random.Random(12).sample(pairs, 480))
+    expected = _det_bareiss(minor_matrix(g.laplacian(), 1, 1))
+    used = spy_kernels(monkeypatch)
+    orders = spy_det_int_orders(monkeypatch)
+    assert tau_rank_one(g, [1] * 120, [1] + [0] * 119) == expected
+    assert orders == [121]
+    assert used == ["_det_modular"]
+
+
 def test_det_perturbed_matrix_and_kernel_choice(monkeypatch):
     """Which matrix det_perturbed hands det_int (order n + 1 means the
     bordered one), and which kernel det_int then runs, for L + J."""
@@ -481,7 +547,8 @@ def test_det_perturbed_matrix_and_kernel_choice(monkeypatch):
     pairs = [(i, j) for i in range(1, 121) for j in range(i + 1, 121)]
     graphs = {
         "150-cycle": Graph(150, [(i, i % 150 + 1) for i in range(1, 151)]),
-        # average degree 8: L passes the shape rule, L with its border would not
+        # average degree 8: L with its border has 1321 nonzeros, within 11 per
+        # row at order 121
         "G(120, m=480)": Graph(120, random.Random(12).sample(pairs, 480)),
         "G(60, 0.97)": random_graph(rng, 60, 0.97),
         "K40": random_graph(rng, 40, 1.0),
@@ -490,14 +557,7 @@ def test_det_perturbed_matrix_and_kernel_choice(monkeypatch):
     }
     taus = {name: _det_bareiss(minor_matrix(g.laplacian(), 1, 1)) for name, g in graphs.items()}
     used = spy_kernels(monkeypatch)
-    orders = []
-    real_det_int = linalg.det_int
-
-    def det_int_spy(m, **kwargs):
-        orders.append(len(m))
-        return real_det_int(m, **kwargs)
-
-    monkeypatch.setattr(linalg, "det_int", det_int_spy)
+    orders = spy_det_int_orders(monkeypatch)
     choices = {}
     for name, g in graphs.items():
         ones = [1] * g.n

@@ -2,23 +2,25 @@ import math
 import random
 import sys
 from collections import Counter
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from treecount import (
     EdgeNotInGraphError,
+    Graph,
     Multigraph,
     OracleTooLargeError,
     build_graph,
     gen_complete,
     is_spanning_tree,
     tau_delcon,
+    tau_reduced,
     tau_subsets,
 )
 
-from conftest import DIAMOND_TREES, random_graph
+from conftest import DIAMOND_TREES, THREE_CLUSTER_GRAPHS, random_graph
 
 
 def tau_by_literal_enumeration(g):
@@ -113,6 +115,35 @@ def test_oracles_agree_on_random_corpus():
     for _ in range(30):
         g = random_graph(rng, rng.randint(2, 7), rng.uniform(0.2, 0.9))
         assert tau_subsets(g) == tau_delcon(Multigraph.from_graph(g))
+
+
+@pytest.mark.parametrize("name", THREE_CLUSTER_GRAPHS)
+def test_oracles_count_three_components_with_no_crossing_edge_ahead(name):
+    n, edges, tau = THREE_CLUSTER_GRAPHS[name]
+    g = build_graph(n, edges)
+    assert tau_subsets(g) == tau_delcon(Multigraph.from_graph(g)) == tau_reduced(g, 1, 1) == tau
+
+
+@st.composite
+def clustered_graphs(draw):
+    """Three or four triangles or K4s on 9-12 vertices, joined by 0-4 random
+    edges, relabelled at random: disconnected when the joins miss a cluster."""
+    sizes = draw(st.sampled_from([(3, 3, 3), (3, 3, 4), (3, 4, 4), (4, 4, 4), (3, 3, 3, 3)]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = sum(sizes)
+    labels = rng.sample(range(1, n + 1), n)
+    edges = set()
+    for start, size in zip(accumulate((0, *sizes)), sizes):
+        edges.update(combinations(sorted(labels[start:start + size]), 2))
+    for _ in range(draw(st.integers(0, 4))):
+        edges.add(tuple(sorted(rng.sample(labels, 2))))
+    return Graph(n, edges)
+
+
+@given(clustered_graphs())
+@settings(max_examples=60, deadline=None)
+def test_oracles_agree_with_reduced_on_clustered_graphs(g):
+    assert tau_subsets(g) == tau_delcon(Multigraph.from_graph(g)) == tau_reduced(g, 1, 1)
 
 
 def test_tau_delcon_complete_graph_k9():

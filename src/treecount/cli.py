@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 method disagreement, 2 parse error (bad file,
 bad family spec, bad flags), 3 method unavailable for the input, 4 subset
 oracle over its guard.  The guard defaults to 10^7 subsets and can be
 overridden with the TREECOUNT_ORACLE_LIMIT environment variable, which must
-be an integer >= 0 (exit 2 otherwise).
+be an integer >= 0 (exit 2 otherwise).  The variable is read only when the
+subset oracle runs, so a malformed value fails only the commands that run
+it.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def _load_input(args) -> tuple[Graph, families.Family | None]:
     raise CliInputError("an input is required: --family or --file")
 
 
-def _schur(g: Graph, fam, limit: int) -> int:
+def _schur(g: Graph, fam) -> int:
     try:
         return kirchhoff.tau_bipartite_schur(g)
     except kirchhoff.NotBipartitionError:
@@ -75,23 +77,23 @@ def _schur(g: Graph, fam, limit: int) -> int:
         raise MethodUnavailableError(f"schur cannot count this graph: {exc}") from None
 
 
-def _formula(g: Graph, fam: families.Family | None, limit: int) -> int:
+def _formula(g: Graph, fam: families.Family | None) -> int:
     if fam is None:
         raise MethodUnavailableError("formula needs a --family input")
     return fam.formula_count()
 
 
-# name -> fn(graph, family or None, subset limit), in the order verify runs
-# them.  Entries look functions up on their modules at call time, so a
-# wrapped or patched module function is the one that runs.
+# name -> fn(graph, family or None), in the order verify runs them.  Entries
+# look functions up on their modules at call time, so a wrapped or patched
+# module function is the one that runs.
 METHODS = {
-    "reduced": lambda g, fam, limit: kirchhoff.tau_reduced(g, 1, 1),
-    "rankone": lambda g, fam, limit: kirchhoff.tau_rank_one(g, [1] * g.n, [1] + [0] * (g.n - 1)),
-    "temperley": lambda g, fam, limit: kirchhoff.tau_temperley(g),
+    "reduced": lambda g, fam: kirchhoff.tau_reduced(g, 1, 1),
+    "rankone": lambda g, fam: kirchhoff.tau_rank_one(g, [1] * g.n, [1] + [0] * (g.n - 1)),
+    "temperley": lambda g, fam: kirchhoff.tau_temperley(g),
     "schur": _schur,
     "formula": _formula,
-    "oracle": lambda g, fam, limit: oracle.tau_subsets(g, limit),
-    "delcon": lambda g, fam, limit: oracle.tau_delcon(oracle.Multigraph.from_graph(g)),
+    "oracle": lambda g, fam: oracle.tau_subsets(g, _subset_limit()),
+    "delcon": lambda g, fam: oracle.tau_delcon(oracle.Multigraph.from_graph(g)),
 }
 
 def _parse_method_list(text: str) -> list[str]:
@@ -113,8 +115,7 @@ def _digits(value: int) -> str:
 
 def cmd_count(args) -> int:
     g, fam = _load_input(args)
-    limit = _subset_limit()
-    [(_, value, elapsed_ms)] = _run_methods(g, fam, [args.method], limit)
+    [(_, value, elapsed_ms)] = _run_methods(g, fam, [args.method])
     if args.json:
         print(json.dumps({
             "method": args.method,
@@ -129,7 +130,7 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
-def _run_methods(g: Graph, fam, methods: list[str] | None, limit: int) -> list[tuple[str, int, float]]:
+def _run_methods(g: Graph, fam, methods: list[str] | None) -> list[tuple[str, int, float]]:
     """(method, tau, elapsed_ms) per method.  With `methods` None every
     method runs, and those that cannot run on this input are left out."""
     skip = () if methods else (MethodUnavailableError, oracle.OracleTooLargeError)
@@ -137,7 +138,7 @@ def _run_methods(g: Graph, fam, methods: list[str] | None, limit: int) -> list[t
     for method in methods or METHODS:
         start = time.perf_counter()
         try:
-            value = METHODS[method](g, fam, limit)
+            value = METHODS[method](g, fam)
         except skip:
             continue
         rows.append((method, value, (time.perf_counter() - start) * 1000.0))
@@ -181,12 +182,11 @@ def _random_connected_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph
 
 
 def cmd_verify(args) -> int:
-    limit = _subset_limit()
     methods = _parse_method_list(args.methods) if args.methods else None
     if args.random is not None:
-        return _verify_random(args, methods, limit)
+        return _verify_random(args, methods)
     g, fam = _load_input(args)
-    rows = _run_methods(g, fam, methods, limit)
+    rows = _run_methods(g, fam, methods)
     width = max(len(m) for m, _, _ in rows)
     print(f"{'method'.ljust(width)}  {'tau'.rjust(12)}  elapsed_ms")
     for method, value, ms in rows:
@@ -195,7 +195,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _verify_random(args, methods: list[str] | None, limit: int) -> int:
+def _verify_random(args, methods: list[str] | None) -> int:
     n, trials = _parse_random_spec(args.random)
     seed = args.seed if args.seed is not None else 0
     rng = random.Random(seed)
@@ -204,7 +204,7 @@ def _verify_random(args, methods: list[str] | None, limit: int) -> int:
     for trial in range(1, trials + 1):
         g = _random_connected_graph(rng, n)
         try:
-            _agreed_value(_run_methods(g, None, methods, limit))
+            _agreed_value(_run_methods(g, None, methods))
         except MismatchError as exc:
             failures += 1
             print(f"trial {trial}: MISMATCH on edges={sorted(g.edges)}: {exc}")
@@ -254,14 +254,13 @@ def _parse_sizes(text: str) -> range:
 
 
 def cmd_bench(args) -> int:
-    limit = _subset_limit()
     methods = _parse_method_list(args.methods) if args.methods else ["temperley"]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["family", "size", "method", "tau", "elapsed_ms"])
     for size in args.sizes:
         fam = families.parse_family(_substitute_size(args.family, size))
         g = fam.graph()
-        rows = _run_methods(g, fam, methods, limit)
+        rows = _run_methods(g, fam, methods)
         for method, value, ms in rows:
             writer.writerow([args.family, size, method, _digits(value), f"{ms:.3f}"])
         _agreed_value(rows, f"size {size}: ")

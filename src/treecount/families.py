@@ -278,9 +278,6 @@ class Family:
     def __post_init__(self):
         _kind_entry(self.kind)
 
-    def spec_string(self) -> str:
-        return f"{self.kind}:{','.join(str(a) for a in self.args)}"
-
     def graph(self) -> Graph:
         return KINDS[self.kind][1](self.args)
 

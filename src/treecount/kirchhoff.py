@@ -102,17 +102,11 @@ def find_bipartition(g: Graph) -> Bipartition | None:
 def tau_reduced(g: Graph, row: int, col: int) -> int:
     """Count spanning trees from the reduced Laplacian with `row` and `col`
     deleted: (-1)^(row+col) det(L_{row,col}).  Any vertex pair gives the
-    same value; disconnected graphs give 0.  The minor is built on the
-    sparse Laplacian rows: row `row` dropped, and the columns after `col`
-    shifted down by one."""
-    if not (1 <= row <= g.n and 1 <= col <= g.n):
-        raise linalg.IndexOutOfRangeError(f"minor indices ({row},{col}) outside 1..{g.n}")
-    rows = g.laplacian_rows()
-    del rows[row - 1]
-    c = col - 1
-    minor = [{j - (j > c): x for j, x in r.items() if j != c} for r in rows]
+    same value; disconnected graphs give 0.  The minor is
+    `linalg.minor_matrix` of the sparse Laplacian rows, so it stays in dict
+    rows, and indices outside 1..n raise IndexOutOfRangeError there."""
     sign = -1 if (row + col) % 2 else 1
-    value = sign * linalg.det_int(minor)
+    value = sign * linalg.det_int(linalg.minor_matrix(g.laplacian_rows(), row, col))
     assert value >= 0, f"reduced-Laplacian count came out negative: {value}"
     return value
 

@@ -54,12 +54,17 @@ unbordered.
 `det_rat`, the determinant of a rational matrix, scales each row to
 integers by the lcm of its denominators and calls `det_int`.
 
-Matrices are plain lists of row lists.  `det_int` and `det_perturbed` also
-take sparse rows, each a dict {column: entry} with 0-based columns and the
-absent entries zero, as `Graph.laplacian_rows` gives them; the kernels run
-on such rows directly, and only Bareiss elimination builds a dense copy.
-Row/column arguments on the public surface are 1-based to match vertex
-labels.
+Every public matrix function takes a square matrix in either of two row
+forms: a list of row lists, or a list of sparse rows, each a dict
+{column: entry} with 0-based columns and the absent entries zero, as
+`Graph.laplacian_rows` gives them.  `minor_matrix` returns the form it was
+given, so `kirchhoff.tau_reduced` builds its minor with it and keeps dict
+rows; `add_outer_product` and `adjugate` return row lists.  The kernels
+run on dict rows directly, and only Bareiss elimination builds a dense
+copy.  The entries of `det_int`, `det_mod` and `det_perturbed` (M, u and
+v) must be ints, and any other entry raises LinalgError;
+`minor_matrix` and `det_rat` also take rationals.  Row/column arguments
+on the public surface are 1-based to match vertex labels.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import chain, compress, repeat
 from operator import countOf, mul
 from math import isqrt, lcm
 
@@ -131,7 +136,8 @@ def _order(m: IntRows) -> int:
 
 def det_int(m: IntRows) -> int:
     """Exact determinant of a square integer matrix, given as row lists or
-    as sparse rows {0-based column: entry}.
+    as sparse rows {0-based column: entry}; an entry that is not an int
+    raises LinalgError.
 
     Large sparse matrices go to a modular kernel, the symmetric one when
     m is symmetric, and all others to Bareiss elimination (see the module
@@ -147,10 +153,16 @@ def det_int(m: IntRows) -> int:
 
 
 def det_mod(m: IntRows, p: int) -> int:
-    """det(m) mod a prime p, as the residue of least absolute value, for a
-    square integer matrix given as `det_int` takes it: the symmetric kernel
-    when m is symmetric, the Markowitz kernel otherwise."""
+    """det(m) mod p, as the residue of least absolute value, for a square
+    integer matrix given as `det_int` takes it: the symmetric kernel when m
+    is symmetric, the Markowitz kernel otherwise.
+
+    p must be prime, which is not tested; p < 2, and an entry that is not
+    an int, raise LinalgError."""
+    if p < 2:
+        raise LinalgError(f"det_mod needs a prime modulus, got {p}")
     _order(m)
+    _nonzeros(m)  # checks the entries
     return _det_mod_rows(_sparse_rows(m), p)
 
 
@@ -168,10 +180,14 @@ def _is_sparse(order: int, nonzeros: int) -> bool:
 
 
 def _nonzeros(m: IntRows) -> int:
-    count = 0
-    for row in m:
-        count += len(row) - (countOf(row.values(), 0) if isinstance(row, dict) else row.count(0))
-    return count
+    """The nonzero count of m, after checking that every entry, stored
+    zeros included, is an int.  det_int, det_mod and det_perturbed each
+    call it once on their whole input, which is where their entries are
+    checked."""
+    entries = list(chain.from_iterable(row.values() if isinstance(row, dict) else row for row in m))
+    if not all(map(isinstance, entries, repeat(int))):
+        raise LinalgError("matrix and vector entries must be ints")
+    return len(entries) - countOf(entries, 0)
 
 
 def _sparse_rows(m: IntRows) -> list[dict[int, int]]:
@@ -379,12 +395,12 @@ def _det_bareiss(m: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def det_rat(m: Sequence[Sequence]) -> Fraction:
-    """Exact determinant of a square rational matrix: each row scaled to
-    integers by the lcm of its denominators, `det_int` of the result, and
-    that divided by the product of the scales."""
+def det_rat(m: Sequence[Sequence | dict]) -> Fraction:
+    """Exact determinant of a square rational matrix, in either row form:
+    each row scaled to integers by the lcm of its denominators, `det_int`
+    of the result, and that divided by the product of the scales."""
     scaled, scale = [], 1
-    for row in m:
+    for row in _dense_rows(m, _order(m)):
         row = [Fraction(x) for x in row]
         d = lcm(*(x.denominator for x in row))
         scaled.append([x.numerator * (d // x.denominator) for x in row])
@@ -392,31 +408,34 @@ def det_rat(m: Sequence[Sequence]) -> Fraction:
     return Fraction(det_int(scaled), scale)
 
 
-def minor_matrix(m: Sequence[Sequence], row: int, col: int) -> list[list]:
-    """Copy of a square matrix with 1-based `row` and `col` deleted."""
+def minor_matrix(m: Sequence[Sequence | dict], row: int, col: int) -> list:
+    """Copy of a square matrix with 1-based `row` and `col` deleted, in the
+    row form it was given: a dict row loses column `col`, and its columns
+    after `col` shift down by one."""
     n = _order(m)
     if not (1 <= row <= n and 1 <= col <= n):
         raise IndexOutOfRangeError(f"minor indices ({row},{col}) outside 1..{n}")
+    c = col - 1
     return [
-        [x for j, x in enumerate(r, start=1) if j != col]
+        {j - (j > c): x for j, x in r.items() if j != c} if isinstance(r, dict) else [*r[:c], *r[col:]]
         for i, r in enumerate(m, start=1)
         if i != row
     ]
 
 
-def add_outer_product(
-    m: Sequence[Sequence[int]], u: Sequence[int], v: Sequence[int]
-) -> IntMatrix:
-    """Entrywise M + u v^T for an n x n matrix and length-n vectors."""
+def add_outer_product(m: IntRows, u: Sequence[int], v: Sequence[int]) -> IntMatrix:
+    """Entrywise M + u v^T, as row lists, for an n x n matrix in either row
+    form and length-n vectors."""
     n = _order(m)
     if len(u) != n or len(v) != n:
         raise DimensionMismatchError(f"vector lengths {len(u)}, {len(v)} do not match n={n}")
-    return [[m[i][j] + u[i] * v[j] for j in range(n)] for i in range(n)]
+    return [[x + ui * vj for x, vj in zip(row, v)] for row, ui in zip(_dense_rows(m, n), u)]
 
 
 def det_perturbed(m: IntRows, u: Sequence[int], v: Sequence[int]) -> int:
     """det(M + u v^T) for an n x n matrix, given as `det_int` takes it, and
-    length-n vectors.
+    length-n vectors; an entry of M, u or v that is not an int raises
+    LinalgError.
 
     `det_int` gets the bordered matrix [[M, u], [v^T, -1]] of order n + 1,
     whose Schur complement on its trailing -1 is M + u v^T, so its
@@ -430,16 +449,16 @@ def det_perturbed(m: IntRows, u: Sequence[int], v: Sequence[int]) -> int:
     n = _order(m)
     if len(u) != n or len(v) != n:
         raise DimensionMismatchError(f"vector lengths {len(u)}, {len(v)} do not match n={n}")
-    if _is_sparse(n + 1, _nonzeros(m) + 2 * n + 1 - countOf(u, 0) - countOf(v, 0)):
+    if _is_sparse(n + 1, _nonzeros([*m, u, v]) + 1):
         bordered = [{**row, n: x} if x else row for row, x in zip(_sparse_rows(m), u)]
         last = {j: x for j, x in enumerate(v) if x}
         last[n] = -1
         bordered.append(last)
         return -det_int(bordered)
-    return det_int(add_outer_product(_dense_rows(m, n), u, v))
+    return det_int(add_outer_product(m, u, v))
 
 
-def adjugate(m: Sequence[Sequence[int]]) -> IntMatrix:
+def adjugate(m: IntRows) -> IntMatrix:
     """Transpose of the cofactor matrix; satisfies M adj(M) = det(M) I.
 
     Computed as n^2 minor determinants.  That is O(n^5), which is fine at

@@ -469,3 +469,57 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
     codes = [in_process(capsys, argv)[0] for argv in MIXED_CALLS]
     assert codes == [EXIT_OK, EXIT_OK, EXIT_PARSE, EXIT_OK]
     assert built == []
+
+
+MALFORMED_FLAGS = {
+    "empty method list": ({}, ["verify", "--family", "complete:3", "--methods", ","]),
+    "unknown method": ({}, ["verify", "--family", "complete:3", "--methods", "reduced,foo"]),
+    "unknown random key": ({}, ["verify", "--random", "foo=1"]),
+    "non-integer random value": ({}, ["verify", "--random", "n=x"]),
+    "random n below 1": ({}, ["verify", "--random", "n=0"]),
+    "non-integer oracle limit": (
+        {"TREECOUNT_ORACLE_LIMIT": "abc"}, ["count", "--family", "complete:3", "--method", "oracle"]
+    ),
+    "bench pattern without ':'": ({}, ["bench", "--family", "foo", "--sizes", "3"]),
+    "bench pattern without k": ({}, ["bench", "--family", "complete:5", "--sizes", "3"]),
+    "sizes not a range": ({}, ["bench", "--family", "complete", "--sizes", "x"]),
+    "sizes decreasing": ({}, ["bench", "--family", "complete", "--sizes", "3..1"]),
+}
+
+
+@pytest.mark.parametrize("env, argv", MALFORMED_FLAGS.values(), ids=MALFORMED_FLAGS)
+def test_malformed_flags_exit_2(capsys, monkeypatch, env, argv):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, _, err = in_process(capsys, argv)
+    assert code == EXIT_PARSE
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_oracle_limit_is_read_only_when_the_oracle_runs(capsys, monkeypatch):
+    monkeypatch.setenv("TREECOUNT_ORACLE_LIMIT", "abc")
+    code, out, _ = run(capsys, "count", "--family", "complete:3", "--method", "reduced")
+    assert code == EXIT_OK
+    assert tau_from_text(out) == "3"
+    code, out, _ = run(capsys, "verify", "--family", "complete:3", "--methods", "reduced,delcon")
+    assert code == EXIT_OK
+    for argv in (
+        ["count", "--family", "complete:3", "--method", "oracle"],
+        ["verify", "--family", "complete:3"],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_PARSE
+        assert "TREECOUNT_ORACLE_LIMIT" in err
+
+
+def test_verify_random_reports_each_mismatched_trial(capsys, monkeypatch):
+    monkeypatch.setitem(cli.METHODS, "temperley", lambda g, fam: -1)
+    code, out, err = run(capsys, "verify", "--random", "n=5", "trials=3")
+    assert code == EXIT_MISMATCH
+    assert [line.split(":")[0] for line in out.splitlines() if "MISMATCH" in line] == [
+        "trial 1", "trial 2", "trial 3"
+    ]
+    assert "temperley=-1" in out
+    assert "agreements: 0/3" in out
+    assert "3 of 3 random trials disagreed" in err

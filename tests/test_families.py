@@ -272,7 +272,7 @@ def test_parse_family_valid_specs():
     assert parse_family("ferrers:4,4,3,2,1") == Family("ferrers", (4, 4, 3, 2, 1))
     assert parse_family("ferrers:2x4,1") == Family("ferrers", (4, 4, 1))
     assert parse_family("threshold:IDidd") == Family("threshold", ("ididd",))
-    assert parse_family("Complete:3").spec_string() == "complete:3"
+    assert parse_family("Complete:3") == Family("complete", (3,))
 
 
 def test_parse_family_graph_and_formula_dispatch():

@@ -22,6 +22,7 @@ from treecount import (
 from treecount import linalg
 from treecount.linalg import (
     PRIMES,
+    LinalgError,
     _det_bareiss,
     _det_modular,
     _det_symmetric,
@@ -735,3 +736,118 @@ def test_dict_rows_match_list_rows_on_sparse_updates(muv):
     m, u, v = muv
     assert det_int(sparse_rows(m)) == det_int(m)
     assert det_perturbed(sparse_rows(m), u, v) == det_perturbed(m, u, v)
+
+
+def dense(rows):
+    """Dict rows of a square matrix as row lists."""
+    return [[row.get(j, 0) for j in range(len(rows))] for row in rows]
+
+
+@st.composite
+def matrices_in_both_row_forms(draw):
+    """(m, rows, u, v): a square integer matrix of order 0-7 with many zero
+    entries, the same matrix as dict rows, some of which store their zeros,
+    and two vectors of its order."""
+    n = draw(st.integers(0, 7))
+    entries = st.one_of(st.just(0), st.integers(-9, 9))
+    vectors = st.lists(entries, min_size=n, max_size=n)
+    m = draw(st.lists(vectors, min_size=n, max_size=n))
+    stores_zeros = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    rows = [{j: x for j, x in enumerate(row) if x or keep} for row, keep in zip(m, stores_zeros)]
+    return m, rows, draw(vectors), draw(vectors)
+
+
+@given(matrices_in_both_row_forms(), st.sampled_from([7, 2**64 - 59]))
+@settings(max_examples=150, deadline=None)
+def test_every_public_function_gives_the_same_result_on_either_row_form(murv, p):
+    m, rows, u, v = murv
+    n = len(m)
+    assert det_int(rows) == det_int(m)
+    assert det_mod(rows, p) == det_mod(m, p)
+    assert det_perturbed(rows, u, v) == det_perturbed(m, u, v)
+    assert det_rat(rows) == det_rat(m)
+    assert add_outer_product(rows, u, v) == add_outer_product(m, u, v)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            minor = minor_matrix(rows, i, j)
+            assert all(isinstance(row, dict) for row in minor)
+            assert dense(minor) == minor_matrix(m, i, j)
+    if n:
+        assert adjugate(rows) == adjugate(m)
+
+
+def test_dict_row_worked_examples():
+    """L(K2) + I as dict rows, through the functions that once read dict
+    rows as lists."""
+    m = [{0: 2, 1: -1}, {0: -1, 1: 2}]
+    assert minor_matrix(m, 1, 1) == [{0: 2}]
+    assert minor_matrix(m, 1, 2) == [{0: -1}]
+    assert adjugate(m) == [[2, 1], [1, 2]]
+    assert det_rat(m) == 3
+    assert add_outer_product([{1: -1}, {0: -1}], [1, 1], [1, 1]) == [[1, 0], [0, 1]]
+    with pytest.raises(IndexOutOfRangeError):
+        minor_matrix(m, 3, 1)
+    with pytest.raises(IndexOutOfRangeError):
+        add_outer_product([{0: 1}, {2: 1}], [1, 1], [1, 1])
+
+
+# non-int entries, zeros among them: a zero that no kernel reads is still
+# not an integer entry
+NOT_INTS = [1.5, 0.5, 0.0, Fraction(1, 2), Fraction(0)]
+
+
+def with_entry(m, i, j, x):
+    """Copy of the row lists m with entry (i, j) set to x."""
+    copy = [list(row) for row in m]
+    copy[i][j] = x
+    return copy
+
+
+def test_det_int_rejects_non_integer_entries():
+    with pytest.raises(LinalgError):
+        det_int([[1.5]])
+    with pytest.raises(LinalgError):
+        det_int([[0.5, 1], [1, 2]])
+    cycle = Graph(40, [(i, i % 40 + 1) for i in range(1, 41)]).laplacian()  # a modular kernel's shape
+    for bad in NOT_INTS:
+        for m in ([[2, 1], [1, bad]], with_entry(cycle, 0, 20, bad), with_entry(cycle, 0, 0, bad)):
+            with pytest.raises(LinalgError):
+                det_int(m)
+            with pytest.raises(LinalgError):
+                det_int([{j: x for j, x in enumerate(row) if x or not isinstance(x, int)} for row in m])
+
+
+def test_det_mod_rejects_non_integer_entries():
+    with pytest.raises(LinalgError):
+        det_mod([[1.5]], 7)
+    for bad in NOT_INTS:
+        for m in ([[2, 1], [1, bad]], [{0: 2, 1: bad}, {0: 1}]):
+            with pytest.raises(LinalgError):
+                det_mod(m, 7)
+
+
+def test_det_perturbed_rejects_non_integer_entries():
+    """On both routes: the bordered matrix, which drops the zeros of M, u
+    and v, and the dense M + u v^T."""
+    cycle = Graph(40, [(i, i % 40 + 1) for i in range(1, 41)]).laplacian()
+    ones = [1] * 40
+    for bad in NOT_INTS:
+        for m, u in ((cycle, ones), ([[2, 1], [1, 2]], [1, 1])):
+            n = len(m)
+            cases = [
+                (with_entry(m, 0, n // 2, bad), u, u),
+                ([{0: bad}, *sparse_rows(m)[1:]], u, u),
+                (m, [bad, *u[1:]], u),
+                (m, u, [*u[:-1], bad]),
+            ]
+            for case in cases:
+                with pytest.raises(LinalgError):
+                    det_perturbed(*case)
+
+
+def test_det_mod_rejects_a_modulus_below_two():
+    m = [[2, 1], [1, 2]]  # det 3
+    assert det_mod(m, 2) == 1
+    for p in (1, 0, -7):
+        with pytest.raises(LinalgError):
+            det_mod(m, p)

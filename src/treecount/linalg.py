@@ -157,8 +157,10 @@ def det_mod(m: IntRows, p: int) -> int:
     integer matrix given as `det_int` takes it: the symmetric kernel when m
     is symmetric, the Markowitz kernel otherwise.
 
-    p must be prime, which is not tested; p < 2, and an entry that is not
-    an int, raise LinalgError."""
+    p must be prime, which is not tested; a p that is not an int or is
+    below 2, and an entry that is not an int, raise LinalgError."""
+    if not isinstance(p, int):
+        raise LinalgError(f"det_mod needs an int modulus, got {p!r}")
     if p < 2:
         raise LinalgError(f"det_mod needs a prime modulus, got {p}")
     _order(m)

@@ -10,8 +10,10 @@ trees they count rather than on what they reject.
 The subset scan is a backtracking search over the sorted edges, as in
 Read and Tarjan's spanning-tree listing: it drops a branch when an edge
 would close a cycle, and when some component of the forest taken so far
-has no incident edge left ahead of the scan.  The last two edges of a
-tree are not enumerated but counted in one pass over the remaining edges.
+has no incident edge left ahead of the scan.  The last three edges of a
+tree are not enumerated but counted in one pass over the remaining edges,
+in closed form from the number of edges crossing each pair of the last
+four components.
 
 The recurrence splits a whole bundle at a time: for the k parallel copies
 of an edge ab, every spanning tree uses none of them or exactly one, so
@@ -19,10 +21,13 @@ tau(G) = tau(G - all k copies) + k * tau(G / ab).  Before each split it
 strips pendant vertices, found with a queue: a vertex whose only bundle has
 k copies is joined to the tree by one of them, a factor of k, and a vertex
 with no bundle left (other than the last one) leaves no spanning tree.
-Different split orders reach the same stripped multigraph, so each call
-keeps a cache from stripped state to tau (Haggard, Pearce and Royle's
-deletion-contraction with a subgraph cache).  Both oracles run on explicit
-stacks: neither depends on Python's recursion limit.
+The recurrence ends at three vertices: a stripped state that small has a
+bundle between every two of its vertices, x, y and z copies, and xy + yz +
+zx spanning trees, or no bundle at all.  Different split orders reach the
+same stripped multigraph, so each call keeps a cache from stripped state to
+tau (Haggard, Pearce and Royle's deletion-contraction with a subgraph
+cache).  Both oracles run on explicit stacks: neither depends on Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -85,10 +90,11 @@ def tau_subsets(g: Graph, limit: int = DEFAULT_SUBSET_LIMIT) -> int:
     a component of the taken forest has no incident edge left at or after
     the scan position: each root keeps the last edge index touching its
     component, the larger of the two on a merge, restored on undo.  The
-    last two levels are counted in one pass over the remaining edges: with
-    two components left every crossing edge completes a tree, and with
-    three, any two crossing edges of different classes do.  Refuses to run
-    when C(|E|, n-1) exceeds `limit`.
+    last three levels are counted in one pass over the remaining edges:
+    with two components left every crossing edge completes a tree, with
+    three any two crossing edges of different pairs do, and with four any
+    three crossing edges whose pairs form a spanning tree of K4 on the
+    components.  Refuses to run when C(|E|, n-1) exceeds `limit`.
     """
     n = g.n
     edges = sorted(g.edges)
@@ -112,7 +118,7 @@ def tau_subsets(g: Graph, limit: int = DEFAULT_SUBSET_LIMIT) -> int:
     idx = 0
     while True:
         left = need - len(taken)
-        if left <= 2:
+        if left <= 3:
             count += _last_levels(edges, idx, parent, left)
         elif total_edges - idx >= left:
             a, b = edges[idx]
@@ -144,23 +150,40 @@ def tau_subsets(g: Graph, limit: int = DEFAULT_SUBSET_LIMIT) -> int:
 
 
 def _last_levels(edges: list[tuple[int, int]], idx: int, parent: list[int], left: int) -> int:
-    """The ways to finish a forest of left + 1 components (left <= 2) with
-    `left` edges from edges[idx:]: the crossing edges when two are left,
-    and when three, xy + yz + zx for x, y, z crossing edges per class."""
-    crossing = 0
-    classes: dict[int, int] = {}  # by a + b, which names the pair when three roots are left
+    """The ways to finish a forest of left + 1 components (left <= 3) with
+    `left` edges from edges[idx:].  Each root gets a bit, so an edge's pair
+    of components is named by the or of its roots' bits; an edge inside
+    one component names a single bit, which no pair uses.  With two
+    components every crossing edge completes a tree; with three, xy + yz +
+    zx for x, y, z crossing edges per pair; with four, the sum over the 16
+    spanning trees of K4 on the components of the product of their three
+    pair counts, which is e3 of the six pair counts minus the 4 triangles."""
+    bit = [0] * len(parent)
+    next_bit = 1
+    for v in range(1, len(parent)):
+        if parent[v] == v:
+            bit[v] = next_bit
+            next_bit <<= 1
+    counts = [0] * 16  # by the or of two root bits
     for a, b in edges[idx:]:
         while parent[a] != a:
             a = parent[a]
         while parent[b] != b:
             b = parent[b]
-        if a != b:
-            crossing += 1
-            classes[a + b] = classes.get(a + b, 0) + 1
+        counts[bit[a] | bit[b]] += 1
     if left == 1:
-        return crossing
-    x, y, z = (*classes.values(), 0, 0, 0)[:3]  # no class at all when no edge crosses
-    return x * y + y * z + z * x
+        return counts[3]
+    if left == 2:
+        x, y, z = counts[3], counts[5], counts[6]
+        return x * y + y * z + z * x
+    # components a, b, c, d have bits 1, 2, 4, 8
+    ab, ac, bc, ad, bd, cd = counts[3], counts[5], counts[6], counts[9], counts[10], counts[12]
+    e1 = e2 = e3 = 0
+    for c in (ab, ac, bc, ad, bd, cd):
+        e3 += e2 * c
+        e2 += e1 * c
+        e1 += c
+    return e3 - ab * ac * bc - ab * ad * bd - ac * ad * cd - bc * bd * cd
 
 
 @dataclass(frozen=True)
@@ -196,10 +219,12 @@ def tau_delcon(mg: Multigraph) -> int:
     """Count spanning trees by the deletion-contraction recurrence.
 
     A state is (vertex count, bundles {(a, b): k}).  Each state first loses
-    its pendant vertices (a factor of k each); one vertex left counts 1, and
-    a disconnected state 0.  Otherwise its first bundle in sorted order, ab
-    with k copies, splits it: tau = tau(G - ab) + k * tau(G / ab), b merged
-    into a.  The recurrence runs on an explicit post-order stack: a split
+    its pendant vertices (a factor of k each); one vertex left counts 1,
+    three count xy + yz + zx for the x, y, z copies between them (0 when
+    they are stranded trees, with no bundle left), and a disconnected state
+    counts 0.  Otherwise its first bundle in sorted order, ab with k
+    copies, splits it: tau = tau(G - ab) + k * tau(G / ab), b merged into
+    a.  The recurrence runs on an explicit post-order stack: a split
     pushes a combine frame under its two halves, and the frame adds their
     results once both are on the value stack.
 
@@ -246,6 +271,10 @@ def tau_delcon(mg: Multigraph) -> int:
                 queue.append(u)
         if vertices == 1:
             values.append(factor)
+            continue
+        if vertices == 3:  # a bundle between every two, or none: stranded trees
+            x, y, z = (*edges.values(), 0, 0, 0)[:3]
+            values.append(factor * (x * y + y * z + z * x))
             continue
         key = frozenset(edges.items())
         tau = cache.get(key)

@@ -179,6 +179,15 @@ def test_verify_file_three_cluster_graphs(capsys, tmp_path, name):
     assert out.splitlines()[-1] == f"all methods agree: tau = {tau}"
 
 
+def test_verify_file_three_stranded_edges(capsys, tmp_path):
+    # a perfect matching on six vertices: deletion-contraction strips it to
+    # three vertices with no bundle between them
+    code, out, _ = run(capsys, "verify", "--file", write_edges(tmp_path / "g.edges", 6, [(1, 2), (3, 4), (5, 6)]))
+    assert code == EXIT_OK
+    assert verify_methods(out)[-2:] == ["oracle", "delcon"]
+    assert out.splitlines()[-1] == "all methods agree: tau = 0"
+
+
 def test_verify_trivial_bipartite(capsys):
     code, out, _ = run(capsys, "verify", "--family", "bipartite:1,1")
     assert code == EXIT_OK

@@ -851,3 +851,6 @@ def test_det_mod_rejects_a_modulus_below_two():
     for p in (1, 0, -7):
         with pytest.raises(LinalgError):
             det_mod(m, p)
+    for p in (7.0, "7"):  # judged by type before the comparison with 2
+        with pytest.raises(LinalgError, match="int modulus"):
+            det_mod(m, p)

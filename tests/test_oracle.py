@@ -146,6 +146,43 @@ def test_oracles_agree_with_reduced_on_clustered_graphs(g):
     assert tau_subsets(g) == tau_delcon(Multigraph.from_graph(g)) == tau_reduced(g, 1, 1)
 
 
+def test_oracles_count_three_stranded_trees():
+    # both oracles end their searches in closed form: the subset scan at
+    # four components, deletion-contraction at three stripped vertices,
+    # which here have no bundle between them
+    g = Graph(6, [(1, 2), (3, 4), (5, 6)])
+    assert tau_subsets(g) == tau_delcon(Multigraph.from_graph(g)) == 0
+
+
+@st.composite
+def joined_components(draw):
+    """Disjoint unions of 2-4 random trees or cycles on at most 12 vertices,
+    joined by 0-3 random edges, relabelled at random: three trees left
+    apart strip down to three stranded vertices.  Each part has an edge, so
+    an isolated vertex does not end the search before it gets there."""
+    parts = draw(st.integers(2, 4))
+    sizes = [draw(st.integers(2, 12 // parts)) for _ in range(parts)]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = sum(sizes)
+    labels = rng.sample(range(1, n + 1), n)
+    edges = set()
+    for start, size in zip(accumulate((0, *sizes)), sizes):
+        part = labels[start:start + size]
+        if size >= 3 and draw(st.booleans()):
+            edges.update(zip(part, part[1:] + part[:1]))
+        else:
+            edges.update((part[i], rng.choice(part[:i])) for i in range(1, size))
+    for _ in range(draw(st.integers(0, 3))):
+        edges.add(tuple(rng.sample(labels, 2)))
+    return Graph(n, {tuple(sorted(e)) for e in edges})
+
+
+@given(joined_components())
+@settings(max_examples=120, deadline=None)
+def test_oracles_agree_with_reduced_on_joined_trees_and_cycles(g):
+    assert tau_subsets(g) == tau_delcon(Multigraph.from_graph(g)) == tau_reduced(g, 1, 1)
+
+
 def test_tau_delcon_complete_graph_k9():
     assert tau_delcon(Multigraph.from_graph(gen_complete(9))) == 9**7
 

@@ -7,13 +7,19 @@ Both are desk-scale by design; the subset oracle refuses oversized inputs
 outright rather than silently skipping.  Both spend their work on the
 trees they count rather than on what they reject.
 
-The subset scan is a backtracking search over the sorted edges, as in
-Read and Tarjan's spanning-tree listing: it drops a branch when an edge
-would close a cycle, and when some component of the forest taken so far
-has no incident edge left ahead of the scan.  The last three edges of a
-tree are not enumerated but counted in one pass over the remaining edges,
-in closed form from the number of edges crossing each pair of the last
-four components.
+Both oracles first relabel the vertices in degeneracy order: repeatedly
+the vertex with the fewest neighbours not yet taken, the smallest label on
+ties (the removal order of Matula and Beck's smallest-last ordering).  Low
+labels then go to the sparse end of the graph, which both searches visit
+first.
+
+The subset scan is a backtracking search over the edges sorted under the
+new labels, as in Read and Tarjan's spanning-tree listing: it drops a
+branch when an edge would close a cycle, and when some component of the
+forest taken so far has no incident edge left ahead of the scan.  The
+last three edges of a tree are not enumerated but counted in one pass over
+the remaining edges, in closed form from the number of edges crossing
+each pair of the last four components.
 
 The recurrence splits a whole bundle at a time: for the k parallel copies
 of an edge ab, every spanning tree uses none of them or exactly one, so
@@ -21,13 +27,16 @@ tau(G) = tau(G - all k copies) + k * tau(G / ab).  Before each split it
 strips pendant vertices, found with a queue: a vertex whose only bundle has
 k copies is joined to the tree by one of them, a factor of k, and a vertex
 with no bundle left (other than the last one) leaves no spanning tree.
-The recurrence ends at three vertices: a stripped state that small has a
+The recurrence ends at four vertices: a stripped state of three has a
 bundle between every two of its vertices, x, y and z copies, and xy + yz +
-zx spanning trees, or no bundle at all.  Different split orders reach the
-same stripped multigraph, so each call keeps a cache from stripped state to
-tau (Haggard, Pearce and Royle's deletion-contraction with a subgraph
-cache).  Both oracles run on explicit stacks: neither depends on Python's
-recursion limit.
+zx spanning trees, or no bundle at all, and one of four has e3 of its six
+pair counts minus the four triangle products, the weighted count of the
+16 spanning trees of K4, which is 0 when the four are not connected.
+Each split takes the bundle with the smallest labels.  Different split
+orders reach the same stripped multigraph, so each call keeps a cache from
+stripped state to tau (Haggard, Pearce and Royle's deletion-contraction
+with a subgraph cache).  Both oracles run on explicit stacks: neither
+depends on Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ import math
 from collections import Counter, deque
 from collections.abc import Iterable
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .graph import Graph
 
@@ -83,9 +93,10 @@ def tau_subsets(g: Graph, limit: int = DEFAULT_SUBSET_LIMIT) -> int:
     """Count spanning trees by enumerating (n-1)-edge subsets.
 
     Equivalent to testing every subset with is_spanning_tree, implemented
-    as a backtracking scan over the sorted edges.  Each edge is first
-    taken, when it joins two union-find components, and then skipped; the
-    taken edges form an explicit stack of undo records.  A branch is
+    as a backtracking scan over the edges relabelled by `_degeneracy_rank`
+    and sorted under the new labels.  Each edge is first taken, when it
+    joins two union-find components, and then skipped; the taken edges
+    form an explicit stack of undo records.  A branch is
     abandoned as soon as a chosen edge would close a cycle, and as soon as
     a component of the taken forest has no incident edge left at or after
     the scan position: each root keeps the last edge index touching its
@@ -97,14 +108,19 @@ def tau_subsets(g: Graph, limit: int = DEFAULT_SUBSET_LIMIT) -> int:
     components.  Refuses to run when C(|E|, n-1) exceeds `limit`.
     """
     n = g.n
-    edges = sorted(g.edges)
     need = n - 1
-    if math.comb(len(edges), need) > limit:
+    if math.comb(len(g.edges), need) > limit:
         raise OracleTooLargeError(
-            f"C({len(edges)},{need}) exceeds the subset guard of {limit}"
+            f"C({len(g.edges)},{need}) exceeds the subset guard of {limit}"
         )
     if need == 0:
         return 1
+    rank = _degeneracy_rank(n, g.edges)
+    edges = []
+    for a, b in g.edges:
+        a, b = rank[a], rank[b]
+        edges.append((a, b) if a < b else (b, a))
+    edges.sort()
     last = [-1] * (n + 1)  # per root: the last edge index touching its component
     for idx, (a, b) in enumerate(edges):
         last[a] = last[b] = idx
@@ -186,6 +202,34 @@ def _last_levels(edges: list[tuple[int, int]], idx: int, parent: list[int], left
     return e3 - ab * ac * bc - ab * ad * bd - ac * ad * cd - bc * bd * cd
 
 
+def _degeneracy_rank(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """rank[v], a permutation of 1..n over v in 1..n, for distinct pairs on
+    1..n: the order in which repeatedly taking a vertex with the fewest
+    neighbours not yet taken, the smallest label on ties, takes them.  A
+    heap holds (neighbours left, v), pushed again on every decrease, and
+    an entry that no longer matches is skipped, so this is O((n + m) log n)."""
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    left = [len(nbrs) for nbrs in adj]
+    heap = [(left[v], v) for v in range(1, n + 1)]
+    heapify(heap)
+    rank = [0] * (n + 1)
+    taken = 0
+    while heap:
+        d, v = heappop(heap)
+        if rank[v] or d != left[v]:
+            continue  # stale heap entry
+        taken += 1
+        rank[v] = taken
+        for w in adj[v]:
+            if not rank[w]:
+                left[w] -= 1
+                heappush(heap, (left[w], w))
+    return rank
+
+
 @dataclass(frozen=True)
 class Multigraph:
     """Vertex count plus an edge multiset, {(i, j): multiplicity}.
@@ -218,15 +262,18 @@ class Multigraph:
 def tau_delcon(mg: Multigraph) -> int:
     """Count spanning trees by the deletion-contraction recurrence.
 
-    A state is (vertex count, bundles {(a, b): k}).  Each state first loses
-    its pendant vertices (a factor of k each); one vertex left counts 1,
-    three count xy + yz + zx for the x, y, z copies between them (0 when
-    they are stranded trees, with no bundle left), and a disconnected state
-    counts 0.  Otherwise its first bundle in sorted order, ab with k
-    copies, splits it: tau = tau(G - ab) + k * tau(G / ab), b merged into
-    a.  The recurrence runs on an explicit post-order stack: a split
-    pushes a combine frame under its two halves, and the frame adds their
-    results once both are on the value stack.
+    The vertices are first relabelled by `_degeneracy_rank`.  A state is
+    (vertex count, bundles {(a, b): k}).  Each state first loses its
+    pendant vertices (a factor of k each); one vertex left counts 1, three
+    count xy + yz + zx for the x, y, z copies between them (0 when they are
+    stranded trees, with no bundle left), four count e3 of their six bundle
+    counts minus the four triangle products (0 when they are not
+    connected), and a disconnected state counts 0.  Otherwise its first
+    bundle in sorted order, ab with k copies, splits it: tau = tau(G - ab)
+    + k * tau(G / ab), b merged into a.  The recurrence runs on an
+    explicit post-order stack: a split pushes a combine frame under its two
+    halves, and the frame adds their results once both are on the value
+    stack.
 
     Different split orders reach the same stripped state, so a per-call
     cache maps its frozen bundles (which, after stripping, also fix the
@@ -234,10 +281,15 @@ def tau_delcon(mg: Multigraph) -> int:
     hash is seen: a chain of states seen once, such as the shrinking
     cycles of a long cycle, keeps nothing but one int per state.
     """
+    rank = _degeneracy_rank(mg.n, mg.edges)
+    relabelled = {}
+    for (a, b), k in mg.edges.items():
+        a, b = rank[a], rank[b]
+        relabelled[(a, b) if a < b else (b, a)] = k
     cache: dict[frozenset, int] = {}
     seen: set[int] = set()
     values: list[int] = []
-    stack: list[tuple] = [(mg.n, dict(mg.edges))]
+    stack: list[tuple] = [(mg.n, relabelled)]
     while stack:
         task = stack.pop()
         if len(task) == 3:  # a combine frame: both halves of its split are on `values`
@@ -275,6 +327,17 @@ def tau_delcon(mg: Multigraph) -> int:
         if vertices == 3:  # a bundle between every two, or none: stranded trees
             x, y, z = (*edges.values(), 0, 0, 0)[:3]
             values.append(factor * (x * y + y * z + z * x))
+            continue
+        if vertices == 4:  # the 16 spanning trees of K4, weighted by bundle counts
+            a, b, c, d = adj
+            ab, ac, ad = (adj[a].get(v, 0) for v in (b, c, d))
+            bc, bd, cd = adj[b].get(c, 0), adj[b].get(d, 0), adj[c].get(d, 0)
+            e1 = e2 = e3 = 0
+            for k in (ab, ac, ad, bc, bd, cd):
+                e3 += e2 * k
+                e2 += e1 * k
+                e1 += k
+            values.append(factor * (e3 - ab * ac * bc - ab * ad * bd - ac * ad * cd - bc * bd * cd))
             continue
         key = frozenset(edges.items())
         tau = cache.get(key)

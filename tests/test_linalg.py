@@ -484,20 +484,23 @@ def test_det_perturbed_matches_bareiss_on_sparse_updates(muv):
 
 
 def spy_det_int_orders(monkeypatch):
-    """Record, in order, the orders of the matrices det_int receives."""
+    """Record, in order, the orders of the matrices that take det_int's
+    path, `linalg._det`: det_int's own input, and the matrix det_perturbed
+    builds once it has checked M, u and v."""
     orders = []
-    real_det_int = linalg.det_int
+    real_det = linalg._det
 
-    def det_int_spy(m):
-        orders.append(len(m))
-        return real_det_int(m)
+    def det_spy(m, n, nonzeros):
+        assert len(m) == n
+        orders.append(n)
+        return real_det(m, n, nonzeros)
 
-    monkeypatch.setattr(linalg, "det_int", det_int_spy)
+    monkeypatch.setattr(linalg, "_det", det_spy)
     return orders
 
 
 def test_det_perturbed_borders_exactly_when_the_border_is_sparse(monkeypatch):
-    """det_perturbed hands det_int the border B = [[M, u], [v^T, -1]] exactly
+    """det_perturbed hands det_int's path the border B = [[M, u], [v^T, -1]] exactly
     when det_int's shape rule, counting the nonzeros of B as built here,
     passes B, for M around 11 nonzeros per row and u, v dense, sparse or
     all zero."""
@@ -542,7 +545,7 @@ def test_rank_one_border_takes_modular_kernel(monkeypatch):
 
 
 def test_det_perturbed_matrix_and_kernel_choice(monkeypatch):
-    """Which matrix det_perturbed hands det_int (order n + 1 means the
+    """Which matrix det_perturbed hands det_int's path (order n + 1 means the
     bordered one), and which kernel det_int then runs, for L + J."""
     rng = random.Random(11)
     pairs = [(i, j) for i in range(1, 121) for j in range(i + 1, 121)]

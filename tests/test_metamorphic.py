@@ -1,7 +1,7 @@
 """Metamorphic properties of tau at sizes where det_int takes its symmetric
 modular kernel: sparse random graphs on 31-60 vertices.  Each property reads
 tau_reduced (a sparse minor) and tau_temperley (L + J, which det_perturbed
-hands to det_int as the symmetric bordered matrix [[L, 1], [1^T, -1]]),
+hands to det_int's path as the symmetric bordered matrix [[L, 1], [1^T, -1]]),
 both on the symmetric kernel, against tau from a Laplacian minor by Bareiss
 elimination.  So a fault shared by every determinant route, or one in
 either modular kernel, in the hand-off between them or in the bordering,
@@ -33,8 +33,9 @@ def sparse_connected_graph(rng: random.Random, n: int) -> Graph:
 
 
 def det_int_inputs(count, g: Graph) -> tuple[int, list]:
-    """count(g), and the matrices det_int received while computing it."""
-    with mock.patch.object(linalg, "det_int", wraps=linalg.det_int) as spy:
+    """count(g), and the matrices that took det_int's path, `linalg._det`,
+    while computing it: det_int's input, or the matrix det_perturbed builds."""
+    with mock.patch.object(linalg, "_det", wraps=linalg._det) as spy:
         value = count(g)
     return value, [call.args[0] for call in spy.call_args_list]
 
@@ -49,7 +50,7 @@ def reduced_by_modular_kernel(g: Graph) -> int:
 
 
 def temperley_by_bordered_matrix(g: Graph) -> int:
-    """tau_temperley(g), checking that det_int received the bordered L + J
+    """tau_temperley(g), checking that det_int's path received the bordered L + J
     of order n + 1 and that its shape rule sends it to the modular kernel."""
     value, matrices = det_int_inputs(tau_temperley, g)
     assert [len(m) for m in matrices] == [g.n + 1]

@@ -2,7 +2,7 @@ import math
 import random
 import sys
 from collections import Counter
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +19,8 @@ from treecount import (
     tau_reduced,
     tau_subsets,
 )
+
+from treecount.oracle import _degeneracy_rank
 
 from conftest import DIAMOND_TREES, THREE_CLUSTER_GRAPHS, random_graph
 
@@ -197,6 +199,15 @@ def test_oracles_leave_recursion_limit_alone():
     assert sys.getrecursionlimit() == limit
 
 
+def test_oracles_count_a_long_path_and_cycle():
+    # a quadratic vertex ordering takes tens of seconds on the path
+    path = Graph(20_000, [(i, i + 1) for i in range(1, 20_000)])
+    cycle = Graph(1200, [(i, i % 1200 + 1) for i in range(1, 1201)])
+    for g, tau in ((path, 1), (cycle, 1200)):
+        assert tau_subsets(g) == tau
+        assert tau_delcon(Multigraph.from_graph(g)) == tau
+
+
 def test_multigraph_sorts_pairs_and_drops_loops_and_zeros():
     mg = Multigraph(3, Counter({(2, 1): 2, (1, 2): 1, (3, 3): 4, (2, 3): 0}))
     assert mg.edges == Counter({(1, 2): 3})
@@ -260,3 +271,42 @@ def test_tau_delcon_matches_labelled_edge_enumeration(nb):
     for i, j, k in bundles:
         edges[(i, j)] += k
     assert tau_delcon(Multigraph(n, edges)) == tau_by_labelled_edges(n, bundles)
+
+
+FOUR_VERTEX_PAIRS = list(combinations(range(1, 5), 2))
+
+
+def test_tau_delcon_counts_every_four_vertex_multigraph():
+    """All 3^6 bundle vectors on four vertices, multiplicities 0-2: the
+    connected ones that strip to four vertices end in the closed form, the
+    rest strip further or are disconnected."""
+    for mults in product(range(3), repeat=6):
+        bundles = [(i, j, k) for (i, j), k in zip(FOUR_VERTEX_PAIRS, mults)]
+        mg = Multigraph(4, Counter({(i, j): k for i, j, k in bundles}))
+        assert tau_delcon(mg) == tau_by_labelled_edges(4, bundles), mults
+
+
+def degeneracy_rank_by_scan(n, pairs):
+    """Reference for _degeneracy_rank: scan every vertex not yet taken for
+    the fewest neighbours not yet taken, the smallest label on ties."""
+    adj = {v: set() for v in range(1, n + 1)}
+    for a, b in pairs:
+        adj[a].add(b)
+        adj[b].add(a)
+    rank = [0] * (n + 1)
+    for taken in range(1, n + 1):
+        v = min(adj, key=lambda v: (len(adj[v]), v))
+        rank[v] = taken
+        for w in adj.pop(v):
+            adj[w].discard(v)
+    return rank
+
+
+@given(st.integers(1, 14).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] < e[1])))))
+@settings(max_examples=200, deadline=None)
+def test_degeneracy_rank_takes_a_vertex_of_fewest_neighbours_left(graph):
+    n, pairs = graph
+    rank = _degeneracy_rank(n, pairs)
+    assert rank[0] == 0 and sorted(rank[1:]) == list(range(1, n + 1))
+    assert rank == degeneracy_rank_by_scan(n, pairs)

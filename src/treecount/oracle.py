@@ -17,9 +17,9 @@ The subset scan is a backtracking search over the edges sorted under the
 new labels, as in Read and Tarjan's spanning-tree listing: it drops a
 branch when an edge would close a cycle, and when some component of the
 forest taken so far has no incident edge left ahead of the scan.  The
-last three edges of a tree are not enumerated but counted in one pass over
+last four edges of a tree are not enumerated but counted in one pass over
 the remaining edges, in closed form from the number of edges crossing
-each pair of the last four components.
+each pair of the last five components.
 
 The recurrence splits a whole bundle at a time: for the k parallel copies
 of an edge ab, every spanning tree uses none of them or exactly one, so
@@ -27,11 +27,19 @@ tau(G) = tau(G - all k copies) + k * tau(G / ab).  Before each split it
 strips pendant vertices, found with a queue: a vertex whose only bundle has
 k copies is joined to the tree by one of them, a factor of k, and a vertex
 with no bundle left (other than the last one) leaves no spanning tree.
-The recurrence ends at four vertices: a stripped state of three has a
+The recurrence ends at five vertices: a stripped state of three has a
 bundle between every two of its vertices, x, y and z copies, and xy + yz +
 zx spanning trees, or no bundle at all, and one of four has e3 of its six
 pair counts minus the four triangle products, the weighted count of the
-16 spanning trees of K4, which is 0 when the four are not connected.
+16 spanning trees of K4, which is 0 when the four are not connected.  One
+of five is counted by the rooted-forest expansion (Chaiken's all-minors
+matrix-tree theorem, read as a count of forests): a spanning tree less
+one vertex v is a forest of the other four with one tree per neighbour
+of v in it, so tau is the sum over nonempty sets S of those four of the
+product of v's bundles to S times the forests rooted at S, each of which
+is one of the two smaller closed forms, a bundle sum, or 1.  Like every
+closed form here it is exact on any state, so it is 0 when the five are
+not connected.
 Each split takes the bundle with the smallest labels.  Different split
 orders reach the same stripped multigraph, so each call keeps a cache from
 stripped state to tau (Haggard, Pearce and Royle's deletion-contraction
@@ -101,11 +109,13 @@ def tau_subsets(g: Graph, limit: int = DEFAULT_SUBSET_LIMIT) -> int:
     a component of the taken forest has no incident edge left at or after
     the scan position: each root keeps the last edge index touching its
     component, the larger of the two on a merge, restored on undo.  The
-    last three levels are counted in one pass over the remaining edges:
+    last four levels are counted in one pass over the remaining edges:
     with two components left every crossing edge completes a tree, with
-    three any two crossing edges of different pairs do, and with four any
+    three any two crossing edges of different pairs do, with four any
     three crossing edges whose pairs form a spanning tree of K4 on the
-    components.  Refuses to run when C(|E|, n-1) exceeds `limit`.
+    components, and with five any four whose pairs form a spanning tree
+    of K5 (see `_last_levels`).  Refuses to run when C(|E|, n-1) exceeds
+    `limit`.
     """
     n = g.n
     need = n - 1
@@ -134,7 +144,7 @@ def tau_subsets(g: Graph, limit: int = DEFAULT_SUBSET_LIMIT) -> int:
     idx = 0
     while True:
         left = need - len(taken)
-        if left <= 3:
+        if left <= 4:
             count += _last_levels(edges, idx, parent, left)
         elif total_edges - idx >= left:
             a, b = edges[idx]
@@ -166,21 +176,28 @@ def tau_subsets(g: Graph, limit: int = DEFAULT_SUBSET_LIMIT) -> int:
 
 
 def _last_levels(edges: list[tuple[int, int]], idx: int, parent: list[int], left: int) -> int:
-    """The ways to finish a forest of left + 1 components (left <= 3) with
+    """The ways to finish a forest of left + 1 components (left <= 4) with
     `left` edges from edges[idx:].  Each root gets a bit, so an edge's pair
     of components is named by the or of its roots' bits; an edge inside
     one component names a single bit, which no pair uses.  With two
     components every crossing edge completes a tree; with three, xy + yz +
     zx for x, y, z crossing edges per pair; with four, the sum over the 16
     spanning trees of K4 on the components of the product of their three
-    pair counts, which is e3 of the six pair counts minus the 4 triangles."""
+    pair counts, which is e3 of the six pair counts minus the 4 triangles.
+    With five, a tree less the edges at the fifth component v is a forest
+    of the other four, each of its trees holding one member of the set S
+    of components that v is joined to (the rooted-forest expansion;
+    Chaiken 1982): the sum over nonempty S of the product of v's counts
+    to S times those forests, which for |S| = 1 is the K4 count, for 2
+    the three-component count with both of S merged, for 3 the fourth's
+    counts to S, and for 4 one."""
     bit = [0] * len(parent)
     next_bit = 1
     for v in range(1, len(parent)):
         if parent[v] == v:
             bit[v] = next_bit
             next_bit <<= 1
-    counts = [0] * 16  # by the or of two root bits
+    counts = [0] * 32  # by the or of two root bits
     for a, b in edges[idx:]:
         while parent[a] != a:
             a = parent[a]
@@ -192,14 +209,27 @@ def _last_levels(edges: list[tuple[int, int]], idx: int, parent: list[int], left
     if left == 2:
         x, y, z = counts[3], counts[5], counts[6]
         return x * y + y * z + z * x
-    # components a, b, c, d have bits 1, 2, 4, 8
+    # components a, b, c, d have bits 1, 2, 4, 8, and v, when there are five, 16
     ab, ac, bc, ad, bd, cd = counts[3], counts[5], counts[6], counts[9], counts[10], counts[12]
     e1 = e2 = e3 = 0
     for c in (ab, ac, bc, ad, bd, cd):
         e3 += e2 * c
         e2 += e1 * c
         e1 += c
-    return e3 - ab * ac * bc - ab * ad * bd - ac * ad * cd - bc * bd * cd
+    tau = e3 - ab * ac * bc - ab * ad * bd - ac * ad * cd - bc * bd * cd
+    if left == 3:
+        return tau
+    va, vb, vc, vd = counts[17], counts[18], counts[20], counts[24]
+    tau *= va + vb + vc + vd
+    for s, t, x, y, z in (
+        (va, vb, ac + bc, ad + bd, cd), (va, vc, ab + bc, ad + cd, bd),
+        (va, vd, ab + bd, ac + cd, bc), (vb, vc, ab + ac, bd + cd, ad),
+        (vb, vd, ab + ad, bc + cd, ac), (vc, vd, ac + ad, bc + bd, ab),
+    ):
+        if s and t:
+            tau += s * t * (x * y + y * z + z * x)
+    tau += va * vb * vc * (ad + bd + cd + vd) + va * vb * vd * (ac + bc + cd)
+    return tau + va * vc * vd * (ab + bc + bd) + vb * vc * vd * (ab + ac + ad)
 
 
 def _degeneracy_rank(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
@@ -267,13 +297,14 @@ def tau_delcon(mg: Multigraph) -> int:
     pendant vertices (a factor of k each); one vertex left counts 1, three
     count xy + yz + zx for the x, y, z copies between them (0 when they are
     stranded trees, with no bundle left), four count e3 of their six bundle
-    counts minus the four triangle products (0 when they are not
-    connected), and a disconnected state counts 0.  Otherwise its first
-    bundle in sorted order, ab with k copies, splits it: tau = tau(G - ab)
-    + k * tau(G / ab), b merged into a.  The recurrence runs on an
-    explicit post-order stack: a split pushes a combine frame under its two
-    halves, and the frame adds their results once both are on the value
-    stack.
+    counts minus the four triangle products, five count the rooted forests
+    of four of them joined to the fifth, as in the module docstring (both
+    0 when the vertices are not connected), and a disconnected state
+    counts 0.  Otherwise its first bundle in sorted order, ab with k
+    copies, splits it: tau = tau(G - ab) + k * tau(G / ab), b merged into
+    a.  The recurrence runs on an explicit post-order stack: a split
+    pushes a combine frame under its two halves, and the frame adds their
+    results once both are on the value stack.
 
     Different split orders reach the same stripped state, so a per-call
     cache maps its frozen bundles (which, after stripping, also fix the
@@ -328,16 +359,33 @@ def tau_delcon(mg: Multigraph) -> int:
             x, y, z = (*edges.values(), 0, 0, 0)[:3]
             values.append(factor * (x * y + y * z + z * x))
             continue
-        if vertices == 4:  # the 16 spanning trees of K4, weighted by bundle counts
-            a, b, c, d = adj
-            ab, ac, ad = (adj[a].get(v, 0) for v in (b, c, d))
+        if vertices == 4 or vertices == 5:  # the 16 spanning trees of K4 on a, b, c, d
+            if vertices == 4:
+                a, b, c, d = adj
+            else:
+                v, a, b, c, d = adj
+            ab, ac, ad = (adj[a].get(u, 0) for u in (b, c, d))
             bc, bd, cd = adj[b].get(c, 0), adj[b].get(d, 0), adj[c].get(d, 0)
             e1 = e2 = e3 = 0
             for k in (ab, ac, ad, bc, bd, cd):
                 e3 += e2 * k
                 e2 += e1 * k
                 e1 += k
-            values.append(factor * (e3 - ab * ac * bc - ab * ad * bd - ac * ad * cd - bc * bd * cd))
+            tau = e3 - ab * ac * bc - ab * ad * bd - ac * ad * cd - bc * bd * cd
+            if vertices == 5:  # forests of a, b, c, d rooted at v's neighbours, joined to v
+                va, vb, vc, vd = (adj[v].get(u, 0) for u in (a, b, c, d))
+                tau *= va + vb + vc + vd
+                for s, t, x, y, z in (
+                    (va, vb, ac + bc, ad + bd, cd), (va, vc, ab + bc, ad + cd, bd),
+                    (va, vd, ab + bd, ac + cd, bc), (vb, vc, ab + ac, bd + cd, ad),
+                    (vb, vd, ab + ad, bc + cd, ac), (vc, vd, ac + ad, bc + bd, ab),
+                ):
+                    if s and t:  # two trees: a, b, c, d with s's and t's ends merged
+                        tau += s * t * (x * y + y * z + z * x)
+                # three trees: the fourth vertex hangs on one of them; four: one forest
+                tau += va * vb * vc * (ad + bd + cd + vd) + va * vb * vd * (ac + bc + cd)
+                tau += va * vc * vd * (ab + bc + bd) + vb * vc * vd * (ab + ac + ad)
+            values.append(factor * tau)
             continue
         key = frozenset(edges.items())
         tau = cache.get(key)

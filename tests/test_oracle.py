@@ -20,7 +20,7 @@ from treecount import (
     tau_subsets,
 )
 
-from treecount.oracle import _degeneracy_rank
+from treecount.oracle import _degeneracy_rank, _last_levels
 
 from conftest import DIAMOND_TREES, THREE_CLUSTER_GRAPHS, random_graph
 
@@ -150,7 +150,7 @@ def test_oracles_agree_with_reduced_on_clustered_graphs(g):
 
 def test_oracles_count_three_stranded_trees():
     # both oracles end their searches in closed form: the subset scan at
-    # four components, deletion-contraction at three stripped vertices,
+    # five components, deletion-contraction at three stripped vertices,
     # which here have no bundle between them
     g = Graph(6, [(1, 2), (3, 4), (5, 6)])
     assert tau_subsets(g) == tau_delcon(Multigraph.from_graph(g)) == 0
@@ -284,6 +284,116 @@ def test_tau_delcon_counts_every_four_vertex_multigraph():
         bundles = [(i, j, k) for (i, j), k in zip(FOUR_VERTEX_PAIRS, mults)]
         mg = Multigraph(4, Counter({(i, j): k for i, j, k in bundles}))
         assert tau_delcon(mg) == tau_by_labelled_edges(4, bundles), mults
+
+
+FIVE_VERTEX_PAIRS = list(combinations(range(1, 6), 2))
+
+
+def k5_trees():
+    """The 125 labelled spanning trees of K5, decoded from their Pruefer
+    sequences, each as a list of four sorted pairs."""
+    trees = []
+    for code in product(range(1, 6), repeat=3):
+        degree = [1] * 6
+        for v in code:
+            degree[v] += 1
+        tree = []
+        for v in code:
+            leaf = min(u for u in range(1, 6) if degree[u] == 1)
+            tree.append((min(leaf, v), max(leaf, v)))
+            degree[leaf] -= 1
+            degree[v] -= 1
+        tree.append(tuple(u for u in range(1, 6) if degree[u] == 1))
+        trees.append(tree)
+    return trees
+
+
+K5_TREES = k5_trees()
+
+
+def tau_by_k5_trees(mults):
+    """Spanning trees of a five-vertex multigraph with mults[i] copies of
+    FIVE_VERTEX_PAIRS[i]: the product of the copies over each tree of K5."""
+    k = dict(zip(FIVE_VERTEX_PAIRS, mults))
+    return sum(math.prod(k[e] for e in tree) for tree in K5_TREES)
+
+
+def test_tau_delcon_counts_every_five_vertex_simple_graph():
+    """All 2^10 bundle vectors on five vertices, multiplicities 0-1: those
+    with every degree at least 2 end in the five-vertex closed form at once,
+    and those with an isolated vertex or two components count 0.  This also
+    checks the K5 tree sum that the multigraph test below relies on."""
+    zeros = 0
+    for mults in product(range(2), repeat=10):
+        bundles = [(i, j, k) for (i, j), k in zip(FIVE_VERTEX_PAIRS, mults)]
+        tau = tau_delcon(Multigraph(5, Counter({(i, j): k for i, j, k in bundles})))
+        assert tau == tau_by_labelled_edges(5, bundles) == tau_by_k5_trees(mults), mults
+        zeros += tau == 0
+    assert zeros == 1024 - 728  # 728 connected labelled graphs on five vertices
+
+
+@given(st.lists(st.integers(0, 3), min_size=10, max_size=10))
+@settings(max_examples=300, deadline=None)
+def test_tau_delcon_counts_five_vertex_multigraphs(mults):
+    mg = Multigraph(5, Counter(dict(zip(FIVE_VERTEX_PAIRS, mults))))
+    assert tau_delcon(mg) == tau_by_k5_trees(mults)
+
+
+@pytest.mark.parametrize("mults", [(1, 1, 1, 1, 1, 1), (2, 1, 1, 1, 0, 3), (1, 0, 1, 1, 0, 1)])
+@pytest.mark.parametrize("k", [1, 2])
+def test_tau_delcon_counts_zero_with_a_stranded_fifth_vertex(mults, k):
+    """A K4, diamond or 4-cycle on 1..4 beside a bundle 5-6: stripping 5
+    (or 6) leaves five vertices, one of them without a bundle."""
+    edges = Counter(dict(zip(FOUR_VERTEX_PAIRS, mults)))
+    edges[(5, 6)] = k
+    assert tau_delcon(Multigraph(6, edges)) == 0
+
+
+@pytest.mark.parametrize("missing", range(10))
+def test_last_levels_counts_five_components_with_one_pair_empty(missing):
+    """Five components of a partial forest, with 1-3 edges between each
+    pair but one and edges inside components, which complete nothing:
+    against every 4-subset of the edges ahead."""
+    components = [(1, 2), (3, 4), (5, 6, 7), (8, 9), (10, 11)]
+    parent = [0, 1, 1, 3, 3, 5, 5, 5, 8, 8, 10, 10]
+    edges = [(1, 2), (5, 7), (6, 7)]
+    for i, (p, q) in enumerate(combinations(components, 2)):
+        if i != missing:
+            edges += list(product(p, q))[:1 + i % 3]
+    root = {v: c for c, part in enumerate(components) for v in part}
+    expected = 0
+    for subset in combinations(edges, 4):
+        links = {(root[a], root[b]) for a, b in subset if root[a] != root[b]}
+        reach = {0}
+        for _ in range(4):
+            reach |= {b for a, b in links if a in reach} | {a for a, b in links if b in reach}
+        expected += len(links) == 4 and len(reach) == 5
+    assert expected > 0
+    assert _last_levels(edges, 0, parent, 4) == expected
+
+
+@st.composite
+def small_sparse_graphs(draw):
+    """Graphs on 6-9 vertices: a random tree, perhaps missing an edge, plus
+    0-5 random edges, relabelled at random.  At most n + 4 edges keeps the
+    literal enumeration to C(13, 8) = 1287 subsets."""
+    n = draw(st.integers(6, 9))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    labels = rng.sample(range(1, n + 1), n)
+    edges = {(labels[v], labels[rng.randrange(v)]) for v in range(1, n)}
+    if draw(st.booleans()):
+        edges.remove(rng.choice(sorted(edges)))
+    for _ in range(draw(st.integers(0, 5))):
+        edges.add(tuple(rng.sample(labels, 2)))
+    return Graph(n, {tuple(sorted(e)) for e in edges})
+
+
+@given(small_sparse_graphs())
+@settings(max_examples=100, deadline=None)
+def test_oracles_match_literal_enumeration_on_small_sparse_graphs(g):
+    expected = tau_by_literal_enumeration(g)
+    assert tau_subsets(g) == expected
+    assert tau_delcon(Multigraph.from_graph(g)) == expected
 
 
 def degeneracy_rank_by_scan(n, pairs):

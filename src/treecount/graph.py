@@ -31,18 +31,23 @@ class Graph:
     """Immutable simple undirected graph on vertices labelled 1..n.
 
     Edges are unordered pairs of distinct vertices, each stored once as a
-    sorted tuple.  Loops and duplicate edges are rejected at construction so
-    bad input surfaces early rather than being silently cleaned up.
+    sorted tuple.  Loops, duplicate edges, and a vertex count or endpoint
+    that is not an int are rejected at construction so bad input surfaces
+    early rather than being silently cleaned up.
     """
 
     __slots__ = ("n", "edges", "_adj")
 
     def __init__(self, n: int, edge_list: Iterable[tuple[int, int]] = ()):
+        if not isinstance(n, int):
+            raise GraphError(f"vertex count must be an int, got {n!r}")
         if n < 1:
             raise GraphError(f"vertex count must be >= 1, got {n}")
         adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
         edges: set[tuple[int, int]] = set()
         for i, j in edge_list:
+            if not isinstance(i, int) or not isinstance(j, int):
+                raise GraphError(f"edge ({i!r},{j!r}) has an endpoint that is not an int")
             if i == j:
                 raise LoopEdgeError(f"loop edge ({i},{j}) is not allowed")
             if not (1 <= i <= n and 1 <= j <= n):

@@ -41,8 +41,8 @@ A rank-one update has a second matrix with the same determinant up to
 sign.  The bordered matrix B = [[M, u], [v^T, -1]] of order n + 1 has the
 Schur complement M + u v^T on its trailing -1, so det B = -det(M + u v^T)
 (the matrix determinant lemma), and B is symmetric exactly when M is and
-u == v.  `det_perturbed` takes det_int's path on B, as M's rows with a
-column n added and one last row, whenever the shape rule sends B, with its
+u == v.  `det_perturbed` hands `det_int` B, as M's rows with a column n
+added and one last row, whenever the shape rule sends B, with its
 nnz(M) + nnz(u) + nnz(v) + 1 nonzeros, to a modular kernel, and the dense
 M + u v^T otherwise: L + J of a sparse graph, zero only at its 2m edge
 entries, then takes the symmetric kernel on L plus one dense row and
@@ -64,10 +64,11 @@ run on dict rows directly, and only Bareiss elimination builds a dense
 copy.  The entries of `det_int`, `det_mod` and `det_perturbed` (M, u and
 v) must be ints, and any other entry raises LinalgError;
 `minor_matrix` and `det_rat` also take rationals.  Each public function
-checks its input's shape and entries once, and hands what it builds from
-them (a minor, the border, M + u v^T, the scaled rows) to private
-functions that do not check again.  Row/column arguments on the public
-surface are 1-based to match vertex labels.
+checks its own input's shape and entries, and reaches the kernels only
+through the public functions: what it builds (a minor, the border,
+M + u v^T, the scaled rows) goes to `det_int`, which checks it again.
+Row/column arguments on the public surface are 1-based to match vertex
+labels.
 """
 
 from __future__ import annotations
@@ -147,14 +148,7 @@ def det_int(m: IntRows) -> int:
     docstring).  The 0x0 matrix has determinant 1 (empty product).
     """
     n = _order(m)
-    return _det(m, n, _nonzeros(m))
-
-
-def _det(m: IntRows, n: int, nonzeros: int) -> int:
-    """det_int for a square matrix of order n whose shape and entries are
-    already checked, with `nonzeros` nonzero entries: the path each public
-    function takes once it has validated its own input."""
-    if _is_sparse(n, nonzeros):
+    if _is_sparse(n, _nonzeros(m)):
         rows = _sparse_rows(m)
         p = prime_above(2 * _hadamard_bound(rows))
         if p is not None:
@@ -191,14 +185,14 @@ def _is_sparse(order: int, nonzeros: int) -> bool:
     return order >= SPARSE_MIN_ORDER and nonzeros <= SPARSE_MAX_PER_ROW * order
 
 
-def _nonzeros(m: IntRows, checked: bool = False) -> int:
-    """The nonzero count of m, after checking, unless `checked`, that every
-    entry, stored zeros included, is an int.  det_int, det_mod,
-    det_perturbed and adjugate each call it once on their whole input,
-    which is where their entries are checked; a matrix they build from
-    checked entries is counted with `checked`."""
+def _nonzeros(m: IntRows) -> int:
+    """The nonzero count of m, after checking that every entry, stored
+    zeros included, is an int.  det_int, det_mod, det_perturbed and
+    adjugate each call it on their whole input, which is where their
+    entries are checked; det_int checks again each matrix the others
+    build and hand it."""
     entries = list(chain.from_iterable(row.values() if isinstance(row, dict) else row for row in m))
-    if not checked and not all(map(isinstance, entries, repeat(int))):
+    if not all(map(isinstance, entries, repeat(int))):
         raise LinalgError("matrix and vector entries must be ints")
     return len(entries) - countOf(entries, 0)
 
@@ -418,7 +412,7 @@ def det_rat(m: Sequence[Sequence | dict]) -> Fraction:
         d = lcm(*(x.denominator for x in row))
         scaled.append([x.numerator * (d // x.denominator) for x in row])
         scale *= d
-    return Fraction(_det(scaled, len(scaled), _nonzeros(scaled, checked=True)), scale)
+    return Fraction(det_int(scaled), scale)
 
 
 def minor_matrix(m: Sequence[Sequence | dict], row: int, col: int) -> list:
@@ -428,15 +422,11 @@ def minor_matrix(m: Sequence[Sequence | dict], row: int, col: int) -> list:
     n = _order(m)
     if not (1 <= row <= n and 1 <= col <= n):
         raise IndexOutOfRangeError(f"minor indices ({row},{col}) outside 1..{n}")
-    return _minor(m, row - 1, col - 1)
-
-
-def _minor(m: Sequence[Sequence | dict], r: int, c: int) -> list:
-    """minor_matrix for a checked square matrix and 0-based r and c."""
+    c = col - 1
     return [
-        {j - (j > c): x for j, x in row.items() if j != c} if isinstance(row, dict) else [*row[:c], *row[c + 1:]]
-        for i, row in enumerate(m)
-        if i != r
+        {j - (j > c): x for j, x in r.items() if j != c} if isinstance(r, dict) else [*r[:c], *r[col:]]
+        for i, r in enumerate(m, start=1)
+        if i != row
     ]
 
 
@@ -446,11 +436,6 @@ def add_outer_product(m: IntRows, u: Sequence[int], v: Sequence[int]) -> IntMatr
     n = _order(m)
     if len(u) != n or len(v) != n:
         raise DimensionMismatchError(f"vector lengths {len(u)}, {len(v)} do not match n={n}")
-    return _add_outer(m, n, u, v)
-
-
-def _add_outer(m: IntRows, n: int, u: Sequence[int], v: Sequence[int]) -> IntMatrix:
-    """add_outer_product for a checked matrix of order n and vectors of length n."""
     return [[x + ui * vj for x, vj in zip(row, v)] for row, ui in zip(_dense_rows(m, n), u)]
 
 
@@ -459,27 +444,27 @@ def det_perturbed(m: IntRows, u: Sequence[int], v: Sequence[int]) -> int:
     length-n vectors; an entry of M, u or v that is not an int raises
     LinalgError.
 
-    det_int's path gets the bordered matrix [[M, u], [v^T, -1]] of order n + 1,
+    `det_int` gets the bordered matrix [[M, u], [v^T, -1]] of order n + 1,
     whose Schur complement on its trailing -1 is M + u v^T, so its
     determinant is -det(M + u v^T): M's rows as dicts with u in a column n
     added, and v with the -1 as one last row.  The border is symmetric
     when M is and u == v, so L + J takes the symmetric kernel.  It is used
     exactly when det_int's shape rule, on its nonzeros counted without
     building it, sends it to a modular kernel, as for L + J of a sparse
-    graph; the dense M + u v^T is used otherwise.
+    graph; `add_outer_product`'s dense M + u v^T is used otherwise.
+    M, u and v are checked here, and det_int checks the matrix built from
+    them again.
     """
     n = _order(m)
     if len(u) != n or len(v) != n:
         raise DimensionMismatchError(f"vector lengths {len(u)}, {len(v)} do not match n={n}")
-    nonzeros = _nonzeros([*m, u, v]) + 1
-    if _is_sparse(n + 1, nonzeros):
+    if _is_sparse(n + 1, _nonzeros([*m, u, v]) + 1):
         bordered = [{**row, n: x} if x else row for row, x in zip(_sparse_rows(m), u)]
         last = {j: x for j, x in enumerate(v) if x}
         last[n] = -1
         bordered.append(last)
-        return -_det(bordered, n + 1, nonzeros)
-    dense = _add_outer(m, n, u, v)
-    return _det(dense, n, _nonzeros(dense, checked=True))
+        return -det_int(bordered)
+    return det_int(add_outer_product(m, u, v))
 
 
 def adjugate(m: IntRows) -> IntMatrix:
@@ -492,11 +477,9 @@ def adjugate(m: IntRows) -> IntMatrix:
     n = _order(m)
     if n == 0:
         raise DimensionMismatchError("adjugate requires n >= 1")
-    _nonzeros(m)  # checks the entries
-
-    def cofactor(i: int, j: int) -> int:
-        minor = _minor(m, j, i)
-        return (-1 if (i + j) % 2 else 1) * _det(minor, n - 1, _nonzeros(minor, checked=True))
-
-    return [[cofactor(i, j) for j in range(n)] for i in range(n)]
+    _nonzeros(m)  # checks the entries: a 1x1 matrix has only the empty minor
+    return [
+        [(-1 if (i + j) % 2 else 1) * det_int(minor_matrix(m, j + 1, i + 1)) for j in range(n)]
+        for i in range(n)
+    ]
 

@@ -266,16 +266,24 @@ class Multigraph:
 
     Construction stores each pair sorted, merging (j, i) into (i, j), and
     drops loops (no spanning tree contains one) and zero multiplicities.
+    A vertex count, endpoint or multiplicity that is not an int raises
+    ValueError.
     """
 
     n: int
     edges: Counter
 
     def __post_init__(self):
+        if not isinstance(self.n, int):
+            raise ValueError(f"vertex count must be an int, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"vertex count must be >= 1, got {self.n}")
         edges: Counter = Counter()
         for (i, j), k in self.edges.items():
+            if not isinstance(i, int) or not isinstance(j, int):
+                raise ValueError(f"edge ({i!r},{j!r}) has an endpoint that is not an int")
+            if not isinstance(k, int):
+                raise ValueError(f"edge ({i},{j}) has multiplicity {k!r}, not an int")
             if k < 0:
                 raise ValueError(f"edge ({i},{j}) has negative multiplicity {k}")
             if not (1 <= i <= self.n and 1 <= j <= self.n):

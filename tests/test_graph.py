@@ -52,6 +52,21 @@ def test_vertex_count_must_be_positive():
         build_graph(0, [])
 
 
+@pytest.mark.parametrize("n, edges", [
+    (2.5, []),
+    (3.0, []),
+    ("3", []),
+    (None, []),
+    (3, [(1.5, 2)]),
+    (3, [(1, 2.0)]),
+    (3, [("1", 2)]),
+    (3, [(1, None)]),
+])
+def test_vertex_count_and_endpoints_must_be_ints(n, edges):
+    with pytest.raises(GraphError):
+        build_graph(n, edges)
+
+
 def test_degree(diamond):
     assert diamond.degree(1) == 3
     assert diamond.degree(2) == 2

@@ -110,6 +110,30 @@ def test_laplacian_rows_are_the_only_matrix_the_methods_build():
         assert all(isinstance(row, dict) for row in call.args[0])
 
 
+def test_each_laplacian_count_reaches_the_kernels_through_one_public_call():
+    """reduced, rankone and temperley each call linalg.det_int exactly once
+    per count, on a sparse graph whose matrices take a modular kernel and on
+    a small one whose matrices take Bareiss elimination; schur calls
+    linalg.det_mod once and det_int never.  The rank-one routes reach
+    det_int through det_perturbed, so a tracer that wraps det_int sees
+    their kernel time."""
+    grid = Graph(36, [(v, v + 1) for v in range(1, 36) if v % 6] + [(v, v + 6) for v in range(1, 31)])  # 6 x 6
+    cube = Graph(8, [(v + 1, (v | bit) + 1) for v in range(8) for bit in (1, 2, 4) if not v & bit])  # Q3
+    for g, expected in ((grid, 32565539635200), (cube, 384)):
+        for method, det_int_calls, det_mod_calls in (
+            ("reduced", 1, 0),
+            ("rankone", 1, 0),
+            ("temperley", 1, 0),
+            ("schur", 0, 1),
+        ):
+            with (
+                mock.patch.object(linalg, "det_int", wraps=linalg.det_int) as det_int_spy,
+                mock.patch.object(linalg, "det_mod", wraps=linalg.det_mod) as det_mod_spy,
+            ):
+                assert cli.METHODS[method](g, None) == expected, method
+            assert (det_int_spy.call_count, det_mod_spy.call_count) == (det_int_calls, det_mod_calls), method
+
+
 def test_tau_rank_one_examples(diamond):
     ones = [1, 1, 1, 1]
     assert tau_rank_one(diamond, ones, ones) == 8

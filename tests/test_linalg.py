@@ -484,18 +484,16 @@ def test_det_perturbed_matches_bareiss_on_sparse_updates(muv):
 
 
 def spy_det_int_orders(monkeypatch):
-    """Record, in order, the orders of the matrices that take det_int's
-    path, `linalg._det`: det_int's own input, and the matrix det_perturbed
-    builds once it has checked M, u and v."""
+    """Record, in order, the orders of the matrices det_int receives: a
+    caller's own matrix, or the one det_perturbed builds from M, u and v."""
     orders = []
-    real_det = linalg._det
+    real_det_int = linalg.det_int
 
-    def det_spy(m, n, nonzeros):
-        assert len(m) == n
-        orders.append(n)
-        return real_det(m, n, nonzeros)
+    def det_int_spy(m):
+        orders.append(len(m))
+        return real_det_int(m)
 
-    monkeypatch.setattr(linalg, "_det", det_spy)
+    monkeypatch.setattr(linalg, "det_int", det_int_spy)
     return orders
 
 

@@ -33,9 +33,9 @@ def sparse_connected_graph(rng: random.Random, n: int) -> Graph:
 
 
 def det_int_inputs(count, g: Graph) -> tuple[int, list]:
-    """count(g), and the matrices that took det_int's path, `linalg._det`,
-    while computing it: det_int's input, or the matrix det_perturbed builds."""
-    with mock.patch.object(linalg, "_det", wraps=linalg._det) as spy:
+    """count(g), and the matrices det_int received while computing it: a
+    minor, or the matrix det_perturbed builds."""
+    with mock.patch.object(linalg, "det_int", wraps=linalg.det_int) as spy:
         value = count(g)
     return value, [call.args[0] for call in spy.call_args_list]
 

@@ -228,6 +228,20 @@ def test_multigraph_rejects_bad_input(n, edges):
         Multigraph(n, Counter(edges))
 
 
+@pytest.mark.parametrize("n, edges", [
+    (3, {(1, 2): 1.5, (2, 3): 2}),
+    (3, {(1, 2): 2.0}),
+    (3, {(1, 2): "2"}),
+    (3.0, {(1, 2): 1}),
+    ("3", {}),
+    (3, {(1.0, 2): 1}),
+    (3, {(1, "2"): 1}),
+])
+def test_multigraph_rejects_non_int_counts_and_endpoints(n, edges):
+    with pytest.raises(ValueError):
+        Multigraph(n, Counter(edges))
+
+
 def tau_by_labelled_edges(n, bundles):
     """Reference count for a multigraph given as (i, j, k) bundles: expand
     each into k labelled edges and test every (n-1)-subset with a fresh

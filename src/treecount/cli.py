@@ -57,12 +57,14 @@ def _subset_limit() -> int:
     return limit
 
 
-def _load_input(args) -> tuple[Graph, families.Family | None]:
+def _load_input(args, build: bool = True) -> tuple[Graph | None, families.Family | None]:
+    """The input graph and, for --family, its Family.  With `build` false
+    a family's graph is not built and None stands in for it."""
     if getattr(args, "family", None) and getattr(args, "file", None):
         raise CliInputError("give either --family or --file, not both")
     if getattr(args, "family", None):
         fam = families.parse_family(args.family)
-        return fam.graph(), fam
+        return (fam.graph() if build else None), fam
     if getattr(args, "file", None):
         return edgelist.read_edgelist(args.file), None
     raise CliInputError("an input is required: --family or --file")
@@ -77,7 +79,7 @@ def _schur(g: Graph, fam) -> int:
         raise MethodUnavailableError(f"schur cannot count this graph: {exc}") from None
 
 
-def _formula(g: Graph, fam: families.Family | None) -> int:
+def _formula(g: Graph | None, fam: families.Family | None) -> int:
     if fam is None:
         raise MethodUnavailableError("formula needs a --family input")
     return fam.formula_count()
@@ -114,23 +116,25 @@ def _digits(value: int) -> str:
 
 
 def cmd_count(args) -> int:
-    g, fam = _load_input(args)
+    # the formula needs no graph: a family's size is in closed form too
+    g, fam = _load_input(args, build=args.method != "formula")
     [(_, value, elapsed_ms)] = _run_methods(g, fam, [args.method])
+    n, edges = fam.size() if g is None else (g.n, len(g.edges))
     if args.json:
         print(json.dumps({
             "method": args.method,
             "tau": _digits(value),
-            "n": g.n,
-            "edges": len(g.edges),
+            "n": n,
+            "edges": edges,
             "elapsed_ms": round(elapsed_ms, 3),
         }))
     else:
-        print(f"n={g.n} edges={len(g.edges)} method={args.method} elapsed_ms={elapsed_ms:.3f}")
+        print(f"n={n} edges={edges} method={args.method} elapsed_ms={elapsed_ms:.3f}")
         print(f"tau = {_digits(value)}")
     return EXIT_OK
 
 
-def _run_methods(g: Graph, fam, methods: list[str] | None) -> list[tuple[str, int, float]]:
+def _run_methods(g: Graph | None, fam, methods: list[str] | None) -> list[tuple[str, int, float]]:
     """(method, tau, elapsed_ms) per method.  With `methods` None every
     method runs, and those that cannot run on this input are left out."""
     skip = () if methods else (MethodUnavailableError, oracle.OracleTooLargeError)

@@ -184,7 +184,12 @@ def conjugate_partition(parts: Sequence[int]) -> list[int]:
     vertex j in the Ferrers graph.
     """
     parts = _check_partition(parts)
-    return [sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1)]
+    conj, rows = [], len(parts)
+    for j in range(1, parts[0] + 1):
+        while parts[rows - 1] < j:  # parts weakly decrease, so rows only ever drops
+            rows -= 1
+        conj.append(rows)
+    return conj
 
 
 def count_complete(n: int) -> int:
@@ -284,6 +289,10 @@ class Family:
     def formula_count(self) -> int:
         return KINDS[self.kind][2](self.args)
 
+    def size(self) -> tuple[int, int]:
+        """(vertices, edges) of `graph()`, in closed form: nothing is built."""
+        return KINDS[self.kind][3](self.args)
+
 
 _INT_TOKEN = re.compile(r"^(?:(\d+)x)?(\d+)$")
 
@@ -305,7 +314,10 @@ def _parse_sizes(kind: str, text: str, count: int | None = None) -> tuple[int, .
         match = _INT_TOKEN.match(token.strip())
         if not match:
             raise FamilySpecError(f"bad numeric token {token!r} in {kind} spec")
-        repeat, value = int(match.group(1) or 1), int(match.group(2))
+        try:
+            repeat, value = int(match.group(1) or 1), int(match.group(2))
+        except ValueError:  # above the interpreter's digit limit for int()
+            raise FamilySpecError(f"numeric token in {kind} spec has too many digits") from None
         _check_positive("size", value)
         tokens.append((repeat, value))
     total = sum(repeat * value for repeat, value in tokens)
@@ -318,33 +330,42 @@ def _parse_sizes(kind: str, text: str, count: int | None = None) -> tuple[int, .
 
 
 # kind -> (parse: spec text after ':' -> args, gen: args -> Graph,
-# count: args -> closed-form tau).  Entries look functions up on the module
-# at call time, so a wrapped or patched generator is the one that runs.
+# count: args -> closed-form tau, size: args -> closed-form (vertices,
+# edges)).  Entries look functions up on the module at call time, so a
+# wrapped or patched generator is the one that runs.  A multipartite graph
+# joins every pair but those inside a part; a Ferrers graph has a row per
+# part, a column per box of the first, and an edge per box; a threshold
+# step 'd' at position s joins the s vertices before it.
 KINDS = {
     "complete": (
         lambda text: _parse_sizes("complete", text, 1),
         lambda args: gen_complete(args[0]),
         lambda args: count_complete(args[0]),
+        lambda args: (args[0], args[0] * (args[0] - 1) // 2),
     ),
     "bipartite": (
         lambda text: _parse_sizes("bipartite", text, 2),
         lambda args: gen_complete_bipartite(*args),
         lambda args: count_complete_bipartite(*args),
+        lambda args: (args[0] + args[1], args[0] * args[1]),
     ),
     "multipartite": (
         lambda text: _parse_sizes("multipartite", text),
         lambda args: gen_complete_multipartite(args),
         lambda args: count_complete_multipartite(args),
+        lambda args: (sum(args), (sum(args) ** 2 - sum(s * s for s in args)) // 2),
     ),
     "ferrers": (
         lambda text: tuple(_check_partition(_parse_sizes("ferrers", text))),
         lambda args: gen_ferrers(args),
         lambda args: count_ferrers(args),
+        lambda args: (len(args) + args[0], sum(args)),
     ),
     "threshold": (
         lambda text: (_parse_bits(text),),
         lambda args: gen_threshold(args[0]),
         lambda args: count_threshold(args[0]),
+        lambda args: (len(args[0]) + 1, sum(s for s, ch in enumerate(args[0], 1) if ch == DOMINATING)),
     ),
 }
 

@@ -18,8 +18,8 @@ new labels, as in Read and Tarjan's spanning-tree listing: it drops a
 branch when an edge would close a cycle, and when some component of the
 forest taken so far has no incident edge left ahead of the scan.  The
 last four edges of a tree are not enumerated but counted in one pass over
-the remaining edges, in closed form from the number of edges crossing
-each pair of the last five components.
+the remaining edges, from the number of edges crossing each pair of the
+last five components.
 
 The recurrence splits a whole bundle at a time: for the k parallel copies
 of an edge ab, every spanning tree uses none of them or exactly one, so
@@ -29,22 +29,26 @@ k copies is joined to the tree by one of them, a factor of k, and a vertex
 with no bundle left (other than the last one) leaves no spanning tree.
 The recurrence ends at five vertices: a stripped state of three has a
 bundle between every two of its vertices, x, y and z copies, and xy + yz +
-zx spanning trees, or no bundle at all, and one of four has e3 of its six
-pair counts minus the four triangle products, the weighted count of the
-16 spanning trees of K4, which is 0 when the four are not connected.  One
-of five is counted by the rooted-forest expansion (Chaiken's all-minors
-matrix-tree theorem, read as a count of forests): a spanning tree less
-one vertex v is a forest of the other four with one tree per neighbour
-of v in it, so tau is the sum over nonempty sets S of those four of the
-product of v's bundles to S times the forests rooted at S, each of which
-is one of the two smaller closed forms, a bundle sum, or 1.  Like every
-closed form here it is exact on any state, so it is 0 when the five are
-not connected.
-Each split takes the bundle with the smallest labels.  Different split
-orders reach the same stripped multigraph, so each call keeps a cache from
-stripped state to tau (Haggard, Pearce and Royle's deletion-contraction
-with a subgraph cache).  Both oracles run on explicit stacks: neither
-depends on Python's recursion limit.
+zx spanning trees, or no bundle at all.  Each split takes the bundle with
+the smallest labels.  Different split orders reach the same stripped
+multigraph, so each call keeps a cache from stripped state to tau
+(Haggard, Pearce and Royle's deletion-contraction with a subgraph cache).
+Both oracles run on explicit stacks: neither depends on Python's recursion
+limit.
+
+Both oracles end in one closed form, `_k5_trees`, on the pair counts of
+four or five parts: the subset scan's last components, joined by the edges
+ahead, and the recurrence's last vertices, joined by their bundles.  On
+four parts it is e3 of their six pair counts minus the four triangle
+products, the weighted count of the 16 spanning trees of K4.  Five parts
+are counted by the rooted-forest expansion (Chaiken's all-minors
+matrix-tree theorem, read as a count of forests): a spanning tree less one
+part v's edges is a forest of the other four with one tree per part that
+v is joined to, so tau is the sum over nonempty sets S of those four of
+the product of v's counts to S times the forests rooted at S, each of
+which is one of the two smaller closed forms, a count sum, or 1.  Like
+every closed form here it is exact on any counts, so it is 0 when the
+parts are not connected.
 """
 
 from __future__ import annotations
@@ -181,16 +185,8 @@ def _last_levels(edges: list[tuple[int, int]], idx: int, parent: list[int], left
     of components is named by the or of its roots' bits; an edge inside
     one component names a single bit, which no pair uses.  With two
     components every crossing edge completes a tree; with three, xy + yz +
-    zx for x, y, z crossing edges per pair; with four, the sum over the 16
-    spanning trees of K4 on the components of the product of their three
-    pair counts, which is e3 of the six pair counts minus the 4 triangles.
-    With five, a tree less the edges at the fifth component v is a forest
-    of the other four, each of its trees holding one member of the set S
-    of components that v is joined to (the rooted-forest expansion;
-    Chaiken 1982): the sum over nonempty S of the product of v's counts
-    to S times those forests, which for |S| = 1 is the K4 count, for 2
-    the three-component count with both of S merged, for 3 the fourth's
-    counts to S, and for 4 one."""
+    zx for x, y, z crossing edges per pair; with four or five, `_k5_trees`
+    of the crossing edges per pair."""
     bit = [0] * len(parent)
     next_bit = 1
     for v in range(1, len(parent)):
@@ -210,24 +206,37 @@ def _last_levels(edges: list[tuple[int, int]], idx: int, parent: list[int], left
         x, y, z = counts[3], counts[5], counts[6]
         return x * y + y * z + z * x
     # components a, b, c, d have bits 1, 2, 4, 8, and v, when there are five, 16
-    ab, ac, bc, ad, bd, cd = counts[3], counts[5], counts[6], counts[9], counts[10], counts[12]
+    v = (counts[17], counts[18], counts[20], counts[24]) if left == 4 else None
+    return _k5_trees(counts[3], counts[5], counts[9], counts[6], counts[10], counts[12], v)
+
+
+def _k5_trees(ab: int, ac: int, ad: int, bc: int, bd: int, cd: int, v=None) -> int:
+    """The spanning trees of four parts a, b, c, d joined by ab, ..., cd
+    edges per pair, or, with v their counts (va, vb, vc, vd) to a fifth
+    part, of all five (see the module docstring).  Four: e3 of the six
+    counts minus the four triangle products.  Five: the sum over nonempty
+    sets S of a, b, c, d of the product of v's counts to S times the
+    forests of the four rooted at S, which for |S| = 1 is the four-part
+    count, for 2 the three-part count with both of S merged, for 3 the
+    fourth's counts to S, and for 4 one."""
     e1 = e2 = e3 = 0
-    for c in (ab, ac, bc, ad, bd, cd):
-        e3 += e2 * c
-        e2 += e1 * c
-        e1 += c
+    for k in (ab, ac, ad, bc, bd, cd):
+        e3 += e2 * k
+        e2 += e1 * k
+        e1 += k
     tau = e3 - ab * ac * bc - ab * ad * bd - ac * ad * cd - bc * bd * cd
-    if left == 3:
+    if v is None:
         return tau
-    va, vb, vc, vd = counts[17], counts[18], counts[20], counts[24]
+    va, vb, vc, vd = v
     tau *= va + vb + vc + vd
     for s, t, x, y, z in (
         (va, vb, ac + bc, ad + bd, cd), (va, vc, ab + bc, ad + cd, bd),
         (va, vd, ab + bd, ac + cd, bc), (vb, vc, ab + ac, bd + cd, ad),
         (vb, vd, ab + ad, bc + cd, ac), (vc, vd, ac + ad, bc + bd, ab),
     ):
-        if s and t:
+        if s and t:  # two trees: a, b, c, d with s's and t's ends merged
             tau += s * t * (x * y + y * z + z * x)
+    # three trees: the fourth part hangs on one of them; four: one forest
     tau += va * vb * vc * (ad + bd + cd + vd) + va * vb * vd * (ac + bc + cd)
     return tau + va * vc * vd * (ab + bc + bd) + vb * vc * vd * (ab + ac + ad)
 
@@ -304,15 +313,13 @@ def tau_delcon(mg: Multigraph) -> int:
     (vertex count, bundles {(a, b): k}).  Each state first loses its
     pendant vertices (a factor of k each); one vertex left counts 1, three
     count xy + yz + zx for the x, y, z copies between them (0 when they are
-    stranded trees, with no bundle left), four count e3 of their six bundle
-    counts minus the four triangle products, five count the rooted forests
-    of four of them joined to the fifth, as in the module docstring (both
-    0 when the vertices are not connected), and a disconnected state
-    counts 0.  Otherwise its first bundle in sorted order, ab with k
-    copies, splits it: tau = tau(G - ab) + k * tau(G / ab), b merged into
-    a.  The recurrence runs on an explicit post-order stack: a split
-    pushes a combine frame under its two halves, and the frame adds their
-    results once both are on the value stack.
+    stranded trees, with no bundle left), four and five count `_k5_trees`
+    of their bundles (0 when the vertices are not connected), and a
+    disconnected state counts 0.  Otherwise its first bundle in sorted
+    order, ab with k copies, splits it: tau = tau(G - ab) + k * tau(G /
+    ab), b merged into a.  The recurrence runs on an explicit post-order
+    stack: a split pushes a combine frame under its two halves, and the
+    frame adds their results once both are on the value stack.
 
     Different split orders reach the same stripped state, so a per-call
     cache maps its frozen bundles (which, after stripping, also fix the
@@ -367,32 +374,11 @@ def tau_delcon(mg: Multigraph) -> int:
             x, y, z = (*edges.values(), 0, 0, 0)[:3]
             values.append(factor * (x * y + y * z + z * x))
             continue
-        if vertices == 4 or vertices == 5:  # the 16 spanning trees of K4 on a, b, c, d
-            if vertices == 4:
-                a, b, c, d = adj
-            else:
-                v, a, b, c, d = adj
-            ab, ac, ad = (adj[a].get(u, 0) for u in (b, c, d))
-            bc, bd, cd = adj[b].get(c, 0), adj[b].get(d, 0), adj[c].get(d, 0)
-            e1 = e2 = e3 = 0
-            for k in (ab, ac, ad, bc, bd, cd):
-                e3 += e2 * k
-                e2 += e1 * k
-                e1 += k
-            tau = e3 - ab * ac * bc - ab * ad * bd - ac * ad * cd - bc * bd * cd
-            if vertices == 5:  # forests of a, b, c, d rooted at v's neighbours, joined to v
-                va, vb, vc, vd = (adj[v].get(u, 0) for u in (a, b, c, d))
-                tau *= va + vb + vc + vd
-                for s, t, x, y, z in (
-                    (va, vb, ac + bc, ad + bd, cd), (va, vc, ab + bc, ad + cd, bd),
-                    (va, vd, ab + bd, ac + cd, bc), (vb, vc, ab + ac, bd + cd, ad),
-                    (vb, vd, ab + ad, bc + cd, ac), (vc, vd, ac + ad, bc + bd, ab),
-                ):
-                    if s and t:  # two trees: a, b, c, d with s's and t's ends merged
-                        tau += s * t * (x * y + y * z + z * x)
-                # three trees: the fourth vertex hangs on one of them; four: one forest
-                tau += va * vb * vc * (ad + bd + cd + vd) + va * vb * vd * (ac + bc + cd)
-                tau += va * vc * vd * (ab + bc + bd) + vb * vc * vd * (ab + ac + ad)
+        if vertices == 4 or vertices == 5:  # the fifth vertex, if any, is v of `_k5_trees`
+            *fifth, a, b, c, d = adj
+            v = [adj[fifth[0]].get(u, 0) for u in (a, b, c, d)] if fifth else None
+            tau = _k5_trees(adj[a].get(b, 0), adj[a].get(c, 0), adj[a].get(d, 0),
+                            adj[b].get(c, 0), adj[b].get(d, 0), adj[c].get(d, 0), v)
             values.append(factor * tau)
             continue
         key = frozenset(edges.items())

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from treecount import cli, kirchhoff, linalg
+from treecount import Graph, cli, kirchhoff, linalg
 from treecount.cli import EXIT_MISMATCH, EXIT_METHOD, EXIT_OK, EXIT_ORACLE, EXIT_PARSE
 
 from conftest import THREE_CLUSTER_GRAPHS
@@ -315,6 +315,28 @@ def test_exit_code_parse_error_on_bad_family(capsys):
     code, _, err = run(capsys, "count", "--family", "heptagonal:3")
     assert code == EXIT_PARSE
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "spec", ["complete:7", "bipartite:3,4", "multipartite:2,3,4", "ferrers:4,4,3,2,1", "threshold:ididd"])
+def test_count_formula_builds_no_graph(capsys, monkeypatch, spec):
+    """`count --method formula` prints the same n, edges and tau as a
+    method that counts the built graph, in text and --json, and never
+    constructs a Graph."""
+    built = [run(capsys, "count", "--family", spec, "--method", "reduced", *flag) for flag in ([], ["--json"])]
+
+    def fail(*args):
+        raise AssertionError("count --method formula built a Graph")
+
+    monkeypatch.setattr(Graph, "__init__", fail)
+    code, out, _ = run(capsys, "count", "--family", spec, "--method", "formula")
+    assert code == EXIT_OK
+    summary = re.sub(r"method=\S+ elapsed_ms=\S+", "", out)
+    assert summary == re.sub(r"method=\S+ elapsed_ms=\S+", "", built[0][1])
+    code, out, _ = run(capsys, "count", "--family", spec, "--method", "formula", "--json")
+    assert code == EXIT_OK
+    report, expected = json.loads(out), json.loads(built[1][1])
+    assert [report[k] for k in ("tau", "n", "edges")] == [expected[k] for k in ("tau", "n", "edges")]
 
 
 def test_exit_code_method_unavailable(capsys):

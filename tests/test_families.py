@@ -187,6 +187,13 @@ def test_conjugate_partition():
     assert conjugate_partition(conjugate_partition([4, 4, 3, 2, 1])) == [4, 4, 3, 2, 1]
 
 
+@given(st.lists(st.integers(1, 30), min_size=1, max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_conjugate_partition_counts_the_parts_of_each_size_or_more(parts):
+    parts = sorted(parts, reverse=True)
+    assert conjugate_partition(parts) == [sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1)]
+
+
 def test_count_complete():
     assert count_complete(1) == 1
     assert count_complete(2) == 1
@@ -284,6 +291,40 @@ def test_parse_family_graph_and_formula_dispatch():
     assert fam.formula_count() == 180
 
 
+def as_sizes(values) -> str:
+    return ",".join(map(str, values))
+
+
+FAMILY_SPECS = st.one_of(
+    st.integers(1, 12).map(lambda n: f"complete:{n}"),
+    st.tuples(st.integers(1, 8), st.integers(1, 8)).map(lambda mn: f"bipartite:{mn[0]},{mn[1]}"),
+    st.lists(st.integers(1, 5), min_size=1, max_size=5).map(lambda s: "multipartite:" + as_sizes(s)),
+    st.lists(st.integers(1, 8), min_size=1, max_size=6).map(
+        lambda s: "ferrers:" + as_sizes(sorted(s, reverse=True))),
+    st.text("di", max_size=14).map("threshold:".__add__),
+)
+
+
+@given(FAMILY_SPECS)
+@settings(max_examples=200, deadline=None)
+def test_closed_form_size_equals_the_generated_graph(spec):
+    fam = parse_family(spec)
+    g = fam.graph()
+    assert fam.size() == (g.n, len(g.edges))
+
+
+def test_size_of_large_families_builds_nothing(monkeypatch):
+    def fail(*args):
+        raise AssertionError("Family.size built a graph")
+
+    monkeypatch.setattr(Graph, "__init__", fail)
+    assert parse_family("complete:100000").size() == (100_000, 4_999_950_000)
+    assert parse_family("bipartite:50000,50000").size() == (100_000, 2_500_000_000)
+    assert parse_family("multipartite:3x33333").size() == (99_999, 3 * 33_333 ** 2)
+    assert parse_family("ferrers:50000,49999x1").size() == (100_000, 99_999)
+    assert parse_family("threshold:" + "d" * 99_999).size() == (100_000, 4_999_950_000)
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -327,6 +368,16 @@ def test_family_sizes_are_capped_before_expanding(monkeypatch, capsys):
     assert families.MAX_VERTICES == 100_000
     assert cli.main(["count", "--family", "ferrers:100001x1"]) == cli.EXIT_PARSE
     assert "limit" in capsys.readouterr().err
+
+
+def test_numeric_token_above_the_digit_limit_is_a_spec_error(capsys):
+    """int() refuses more than 4300 digits with a ValueError; the parser
+    turns it into a spec error, exit 2, not a traceback."""
+    for spec in ("complete:" + "9" * 5000, "ferrers:" + "1" * 5000 + "x1"):
+        with pytest.raises(FamilySpecError, match="digits"):
+            parse_family(spec)
+        assert cli.main(["count", "--family", spec, "--method", "formula"]) == cli.EXIT_PARSE
+        assert "digits" in capsys.readouterr().err
 
 
 def test_threshold_sequence_is_capped(capsys, tmp_path):

@@ -1,8 +1,9 @@
 """Command-line front end: count, verify, generate, and bench.
 
 Exit codes: 0 success, 1 method disagreement, 2 parse error (bad file,
-bad family spec, bad flags), 3 method unavailable for the input, 4 subset
-oracle over its guard.  The guard defaults to 10^7 subsets and can be
+bad family spec, bad flags, an input above graph.MAX_VERTICES or
+graph.MAX_EDGES), 3 method unavailable for the input, 4 subset oracle over
+its guard.  The guard defaults to 10^7 subsets and can be
 overridden with the TREECOUNT_ORACLE_LIMIT environment variable, which must
 be an integer >= 0 (exit 2 otherwise).  The variable is read only when the
 subset oracle runs, so a malformed value fails only the commands that run
@@ -23,7 +24,7 @@ import sys
 import time
 
 from . import edgelist, families, kirchhoff, oracle
-from .graph import Graph
+from .graph import MAX_EDGES, Graph
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -167,18 +168,23 @@ def _parse_random_spec(tokens: list[str]) -> tuple[int, int]:
             params[key] = int(value)
         except ValueError:
             raise CliInputError(f"--random {key} must be an integer, got {value!r}") from None
-    if params["n"] < 1 or params["trials"] < 1:
+    n, trials = params["n"], params["trials"]
+    if n < 1 or trials < 1:
         raise CliInputError("--random n and trials must be >= 1")
-    return params["n"], params["trials"]
+    pairs = n * (n - 1) // 2  # each a candidate edge that draws a coin before a graph is built
+    if pairs > MAX_EDGES:
+        raise CliInputError(f"--random n={n} has {pairs} vertex pairs, above the limit of {MAX_EDGES}")
+    return n, trials
 
 
-def _random_connected_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
+def _random_connected_graph(rng: random.Random, n: int) -> Graph:
+    """G(n, 1/2), drawn again until it is connected."""
     while True:
         edges = [
             (i, j)
             for i in range(1, n + 1)
             for j in range(i + 1, n + 1)
-            if rng.random() < p
+            if rng.random() < 0.5
         ]
         g = Graph(n, edges)
         if g.is_connected():

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 
-from .graph import MAX_VERTICES, Graph, GraphError
+from .graph import MAX_EDGES, MAX_VERTICES, Graph, GraphError
 
 
 class EdgeListParseError(ValueError):
@@ -36,6 +36,8 @@ def parse_edgelist(text: str) -> Graph:
         raise EdgeListParseError(f"line {lineno}: header must be two integers") from None
     if n > MAX_VERTICES:
         raise EdgeListParseError(f"line {lineno}: {n} vertices is above the limit of {MAX_VERTICES}")
+    if m > MAX_EDGES:
+        raise EdgeListParseError(f"line {lineno}: {m} edges is above the limit of {MAX_EDGES}")
     if len(data_lines) - 1 != m:
         raise EdgeListParseError(
             f"header declares {m} edges but {len(data_lines) - 1} edge lines found"

@@ -19,12 +19,14 @@ vertex, read left to right in addition order.
 
 from __future__ import annotations
 
+import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from collections.abc import Sequence
 
-from .graph import MAX_VERTICES, Graph
+from .graph import MAX_EDGES, MAX_VERTICES, Graph
 
 DOMINATING = "d"
 ISOLATED = "i"
@@ -192,6 +194,19 @@ def conjugate_partition(parts: Sequence[int]) -> list[int]:
     return conj
 
 
+def _product(powers) -> int:
+    """The product of factor ** exponent over a factor -> exponent mapping.
+
+    Each distinct factor is raised to its exponent once; the powers are then
+    multiplied in pairs, level by level, so that each multiplication joins
+    numbers of similar size.  An empty mapping gives 1.
+    """
+    level = [factor**exponent for factor, exponent in powers.items()]
+    while len(level) > 1:
+        level = [math.prod(level[i:i + 2]) for i in range(0, len(level), 2)]
+    return level[0] if level else 1
+
+
 def count_complete(n: int) -> int:
     """n^(n-2) spanning trees; the single vertex counts 1 by convention."""
     _check_positive("n", n)
@@ -216,10 +231,9 @@ def count_complete_multipartite(sizes: Sequence[int]) -> int:
     n = sum(sizes)
     if len(sizes) == 1:
         return 1 if n == 1 else 0
-    result = n ** (len(sizes) - 2)
-    for size in sizes:
-        result *= (n - size) ** (size - 1)
-    return result
+    # equal parts share one factor n - n_i, its exponents summed, never expanded
+    powers = {n - size: repeat * (size - 1) for size, repeat in Counter(sizes).items()}
+    return _product({n: len(sizes) - 2, **powers})
 
 
 def count_ferrers(parts: Sequence[int]) -> int:
@@ -231,18 +245,8 @@ def count_ferrers(parts: Sequence[int]) -> int:
     """
     parts = _check_partition(parts)
     conj = conjugate_partition(parts)
-    m, n = len(parts), parts[0]
-    from_second = 1
-    for d in parts[1:]:
-        from_second *= d
-    for d in conj[1:]:
-        from_second *= d
-    all_degrees = 1
-    for d in parts:
-        all_degrees *= d
-    for d in conj:
-        all_degrees *= d
-    quotient, rem = divmod(all_degrees, m * n)
+    from_second = _product(Counter(parts[1:] + conj[1:]))
+    quotient, rem = divmod(_product(Counter(parts + conj)), len(parts) * parts[0])
     assert rem == 0 and quotient == from_second, "the two degree-product forms disagree"
     return from_second
 
@@ -256,21 +260,18 @@ def count_threshold(bits) -> int:
     the sequence in O(n): a vertex added by 'd' at step s has degree s plus
     the number of later 'd's, one added by 'i' only the later 'd's.  The
     graph is disconnected exactly when the sequence ends in 'i', which
-    counts 0, matching tau.
+    counts 0, matching tau: that step's factor, its later 'd's, is 0.
     """
     text = _check_bits(bits)
-    if text.endswith(ISOLATED):
-        return 0
     later = text.count(DOMINATING)  # 'd' steps after the current one
-    result = 1
+    powers = Counter()
     for step, ch in enumerate(text, start=1):
-        if ch == DOMINATING:
-            later -= 1
-            if later:  # the last 'd' is vertex 1, outside the product
-                result *= step + later + 1
-        else:
-            result *= later
-    return result
+        later -= ch == DOMINATING
+        if ch == ISOLATED:
+            powers[later] += 1
+        elif later:  # the last 'd' is vertex 1, outside the product
+            powers[step + later + 1] += 1
+    return _product(powers)
 
 
 @dataclass(frozen=True)
@@ -284,6 +285,11 @@ class Family:
         _kind_entry(self.kind)
 
     def graph(self) -> Graph:
+        """The family's graph; FamilySpecError, before any edge is made,
+        when it would have more than MAX_EDGES edges."""
+        edges = self.size()[1]
+        if edges > MAX_EDGES:
+            raise FamilySpecError(f"{self.kind} graph has {edges} edges, above the limit of {MAX_EDGES}")
         return KINDS[self.kind][1](self.args)
 
     def formula_count(self) -> int:

@@ -10,6 +10,11 @@ from collections.abc import Iterable
 # the count whose adjacency sets alone would exhaust memory.
 MAX_VERTICES = 100_000
 
+# The most edges a graph may have before one is built from a family spec or
+# an edge-list header: a Graph of 10^6 edges takes about 0.4 GiB, while the
+# vertex cap alone admits K_100000's 5 * 10^9 edges.
+MAX_EDGES = 1_000_000
+
 
 class GraphError(ValueError):
     """Invalid graph construction or vertex access."""

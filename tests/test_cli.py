@@ -208,6 +208,31 @@ def test_verify_random_corpus(capsys):
     assert "seed=7" in out
 
 
+def test_verify_random_n_is_capped_by_its_vertex_pairs(capsys, monkeypatch):
+    """--random n=K is refused (exit 2) when its K(K-1)/2 candidate edges,
+    each a coin drawn before any graph is built, exceed MAX_EDGES."""
+    drawn = []
+    real_draw, real_cap = cli._random_connected_graph, cli.MAX_EDGES
+
+    def spy(rng, n):
+        drawn.append(n)
+        return real_draw(rng, n)
+
+    monkeypatch.setattr(cli, "_random_connected_graph", spy)
+    monkeypatch.setattr(cli, "MAX_EDGES", 10)
+    code, out, _ = run(capsys, "verify", "--random", "n=5", "trials=1")
+    assert code == EXIT_OK
+    assert "agreements: 1/1" in out
+    code, _, err = run(capsys, "verify", "--random", "n=6", "trials=1")
+    assert code == EXIT_PARSE
+    assert "15 vertex pairs, above the limit of 10" in err
+    monkeypatch.setattr(cli, "MAX_EDGES", real_cap)
+    code, _, err = run(capsys, "verify", "--random", "n=1415", "trials=1")
+    assert code == EXIT_PARSE
+    assert "1000405 vertex pairs" in err
+    assert drawn == [5]
+
+
 def test_verify_restricted_methods(capsys):
     code, out, _ = run(
         capsys, "verify", "--family", "complete:4", "--methods", "reduced,oracle"

@@ -12,7 +12,7 @@ from treecount import (
     write_edgelist,
 )
 
-from treecount.graph import MAX_VERTICES
+from treecount.graph import MAX_EDGES, MAX_VERTICES
 
 from conftest import DIAMOND_EDGES
 
@@ -84,4 +84,33 @@ def test_header_vertex_count_is_capped_before_allocating(monkeypatch, tmp_path, 
     path.write_text("1000000000 0\n")
     assert cli.main(["count", "--file", str(path)]) == cli.EXIT_PARSE
     assert "limit" in capsys.readouterr().err
+    assert built == []
+
+
+def test_header_edge_count_is_capped_before_building(monkeypatch, tmp_path, capsys):
+    """A header declaring more than MAX_EDGES edges is a parse error (exit
+    2), raised before the edge lines are read into a Graph."""
+    built = []
+    real_graph = edgelist.Graph
+
+    def spy(n, edges):
+        built.append(len(edges))
+        return real_graph(n, edges)
+
+    monkeypatch.setattr(edgelist, "Graph", spy)
+    monkeypatch.setattr(edgelist, "MAX_EDGES", 3)
+    assert len(parse_edgelist("4 3\n1 2\n2 3\n3 4\n").edges) == 3
+    assert built == [3]
+    built.clear()
+    with pytest.raises(EdgeListParseError, match="4 edges is above the limit of 3"):
+        parse_edgelist("4 4\n1 2\n2 3\n3 4\n4 1\n")
+    path = tmp_path / "cycle.edges"
+    path.write_text("4 4\n1 2\n2 3\n3 4\n4 1\n")
+    assert cli.main(["count", "--file", str(path)]) == cli.EXIT_PARSE
+    assert "limit" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert MAX_EDGES == 1_000_000
+    # the real cap is checked before the declared count is compared with the lines
+    with pytest.raises(EdgeListParseError, match="limit"):
+        parse_edgelist(f"5 {MAX_EDGES + 1}\n1 2\n")
     assert built == []

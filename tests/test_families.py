@@ -1,8 +1,9 @@
 import random
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from treecount import (
     Family,
@@ -216,6 +217,11 @@ def test_count_complete_multipartite():
             assert count_complete_multipartite([m, n]) == count_complete_bipartite(m, n)
     assert count_complete_multipartite([3]) == 0
     assert count_complete_multipartite([1]) == 1
+    # K_3000 spelled three ways, and K_{a,b} three ways
+    assert count_complete(3000) == count_complete_multipartite([1] * 3000) == count_threshold("d" * 2999)
+    for a in range(1, 61):
+        for b in range(1, 61):
+            assert count_complete_bipartite(a, b) == count_complete_multipartite([a, b]) == count_ferrers([b] * a)
 
 
 def test_count_ferrers():
@@ -270,6 +276,25 @@ def test_closed_forms_match_determinant_count():
     ]
     for g, expected in instances:
         assert tau_temperley(g) == expected
+
+
+FACTORS = st.one_of(st.integers(0, 3), st.integers(0, 10**12))
+
+
+@given(st.one_of(
+    st.lists(FACTORS, max_size=60).map(Counter),  # repeated factors sum their exponents
+    st.dictionaries(FACTORS, st.integers(0, 5), max_size=30),  # exponents of 0 too
+))
+@example({})
+@example({0: 1, 7: 3})
+@example({0: 0, 1: 9})
+@settings(max_examples=300, deadline=None)
+def test_product_equals_a_left_to_right_loop(powers):
+    expected = 1
+    for factor, exponent in powers.items():
+        for _ in range(exponent):
+            expected *= factor
+    assert families._product(powers) == expected
 
 
 def test_parse_family_valid_specs():
@@ -368,6 +393,36 @@ def test_family_sizes_are_capped_before_expanding(monkeypatch, capsys):
     assert families.MAX_VERTICES == 100_000
     assert cli.main(["count", "--family", "ferrers:100001x1"]) == cli.EXIT_PARSE
     assert "limit" in capsys.readouterr().err
+
+
+def test_family_edges_are_capped_before_building(monkeypatch, capsys, tmp_path):
+    """A family graph of more than MAX_EDGES edges is a spec error, exit 2,
+    for every command that builds one, and no Graph is constructed for it;
+    `count --method formula` builds nothing and is not capped."""
+    monkeypatch.setattr(families, "MAX_EDGES", 10)
+    at_cap = ["complete:5", "bipartite:2,5", "multipartite:5x1", "ferrers:4,3,2,1", "threshold:dddd"]
+    for spec in at_cap:
+        assert len(parse_family(spec).graph().edges) == 10
+    over_cap = ["complete:6", "bipartite:1,11", "multipartite:2,2,2", "ferrers:4,4,3", "threshold:" + "i" * 10 + "d"]
+
+    def fail(*args):
+        raise AssertionError("a Graph was built above the edge cap")
+
+    monkeypatch.setattr(Graph, "__init__", fail)
+    for spec in over_cap:
+        for argv in (
+            ["count", "--family", spec],
+            ["count", "--family", spec, "--method", "reduced"],
+            ["verify", "--family", spec],
+            ["generate", "--family", spec, "-o", str(tmp_path / "out.edges")],
+        ):
+            assert cli.main(argv) == cli.EXIT_PARSE, argv
+            assert "limit of 10" in capsys.readouterr().err
+    assert cli.main(["bench", "--family", "complete", "--sizes", "6..6"]) == cli.EXIT_PARSE
+    assert "limit of 10" in capsys.readouterr().err
+    assert cli.main(["count", "--family", "complete:6", "--method", "formula"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "tau = 1296"
+    assert not (tmp_path / "out.edges").exists()
 
 
 def test_numeric_token_above_the_digit_limit_is_a_spec_error(capsys):

@@ -1,8 +1,9 @@
-"""Simple undirected graphs on vertices 1..n, with degrees and Laplacians."""
+"""Simple undirected graphs on vertices 1..n, with degrees and Laplacians,
+and the package's one graph search."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 # The most vertices a parsed input may declare, checked before anything is
 # allocated for them: ten times the order of the largest graphs the
@@ -111,15 +112,7 @@ class Graph:
 
     def is_connected(self) -> bool:
         """True when every vertex is reachable from vertex 1."""
-        seen = {1}
-        stack = [1]
-        while stack:
-            v = stack.pop()
-            for w in self._adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        return len(reach(self._adj.__getitem__, 1)) == self.n
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -131,6 +124,21 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={len(self.edges)})"
+
+
+def reach(neighbors: Callable[[int], Iterable[int]], start: int) -> dict[int, int]:
+    """Breadth-first search from start: {vertex: its distance from start}
+    for every vertex that start reaches, where neighbors(v) yields v's
+    neighbours.  Every connectivity and two-colouring question in the
+    package is answered from this one search."""
+    dist = {start: 0}
+    order = [start]
+    for v in order:  # the queue: the loop also visits what it appends
+        for w in neighbors(v):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                order.append(w)
+    return dist
 
 
 def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:

@@ -28,7 +28,7 @@ from collections.abc import Sequence
 from math import prod
 
 from . import linalg
-from .graph import Graph
+from .graph import Graph, reach
 
 
 class ZeroVectorSumError(ValueError):
@@ -77,25 +77,19 @@ def check_bipartition(g: Graph, bp: Bipartition) -> None:
 def find_bipartition(g: Graph) -> Bipartition | None:
     """Two-color g by search; None when some component has an odd cycle.
 
-    Isolated vertices and component roots are colored to the row side, so
-    the result is deterministic for a given graph.
+    Each component is colored by the parity of the distance from its
+    smallest vertex, so isolated vertices and component roots go to the
+    row side, and the result is deterministic for a given graph.
     """
-    color: dict[int, int] = {}
+    dist: dict[int, int] = {}
     for start in range(1, g.n + 1):
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in g.neighbors(v):
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return None
-    rows = tuple(v for v in range(1, g.n + 1) if color[v] == 0)
-    cols = tuple(v for v in range(1, g.n + 1) if color[v] == 1)
+        if start not in dist:
+            dist.update(reach(g.neighbors, start))
+    # the ends of an edge are at most one step apart, so same parity is same distance
+    if any(dist[i] == dist[j] for i, j in g.edges):
+        return None
+    rows = tuple(v for v in range(1, g.n + 1) if dist[v] % 2 == 0)
+    cols = tuple(v for v in range(1, g.n + 1) if dist[v] % 2 == 1)
     return Bipartition(rows, cols)
 
 

@@ -59,7 +59,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .graph import Graph
+from .graph import Graph, reach
 
 DEFAULT_SUBSET_LIMIT = 10_000_000
 
@@ -84,21 +84,7 @@ def is_spanning_tree(g: Graph, subset: Iterable[tuple[int, int]]) -> bool:
         if e not in g.edges:
             raise EdgeNotInGraphError(f"edge ({i},{j}) is not in the graph")
         chosen.add(e)
-    if len(chosen) != g.n - 1:
-        return False
-    adj: dict[int, list[int]] = {v: [] for v in range(1, g.n + 1)}
-    for i, j in chosen:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {1}
-    stack = [1]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
+    return len(chosen) == g.n - 1 and Graph(g.n, chosen).is_connected()
 
 
 def tau_subsets(g: Graph, limit: int = DEFAULT_SUBSET_LIMIT) -> int:
@@ -386,7 +372,7 @@ def tau_delcon(mg: Multigraph) -> int:
         if tau is not None:
             values.append(factor * tau)
             continue
-        if not _connected(adj):
+        if len(reach(adj.__getitem__, next(iter(adj)))) < len(adj):
             values.append(0)
             continue
         if hash(key) not in seen:
@@ -404,15 +390,3 @@ def tau_delcon(mg: Multigraph) -> int:
         stack.append((vertices - 1, contracted))
         stack.append((vertices, edges))  # deletion first: the smaller contraction waits
     return values.pop()
-
-
-def _connected(adj: dict[int, dict[int, int]]) -> bool:
-    start = next(iter(adj))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(adj)

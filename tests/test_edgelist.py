@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from treecount import (
@@ -59,6 +61,47 @@ def test_parse_single_vertex():
 def test_parse_rejects_malformed_documents(text):
     with pytest.raises(EdgeListParseError):
         parse_edgelist(text)
+
+
+def test_every_line_break_of_splitlines_ends_a_line():
+    lines = ["# a comment", "", "4 3", "1 2", "2 3", "3 4"]
+    graph = parse_edgelist("\n".join(lines))
+    mixed = "".join(line + end for line, end in zip(lines, ["\r", "\r\n", "\v", "\f", "\x1c", "\n"]))
+    assert parse_edgelist(mixed) == graph
+    with pytest.raises(EdgeListParseError, match="line 6: edge endpoints"):
+        parse_edgelist(mixed.replace("3 4", "3 x"))
+
+
+def test_a_long_document_keeps_its_line_numbers():
+    """The reader splits a long document into blocks at line breaks; a
+    "\r\n" that straddles a block boundary is still one break, so the line
+    numbers stay those of str.splitlines.  Padding around each power of two
+    puts a break at every offset near the usual block sizes."""
+    body = "4 3\r\n1 2\r\n2 3\r\n3 x\r\n"
+    for size in (4096, 8192, 16384, 32768, 65536):
+        for pad in range(size - 3, size + 3):
+            with pytest.raises(EdgeListParseError, match="^line 6: edge endpoints"):
+                parse_edgelist("#" * pad + "\r\n" + "\r\n" + body)
+
+
+def test_edge_lines_past_the_header_count_are_refused_in_memory_that_follows_the_header():
+    """A document declaring one edge and holding 200 000 is refused at its
+    second edge line, without a copy of its lines: the traced peak stays
+    below 8 bytes per character of the document."""
+    text = "2 1\n" + "1 2\n" * 200_000
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with pytest.raises(EdgeListParseError, match="line 3: header declares 1 edges but this is edge line 2"):
+            parse_edgelist(text)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 8 * len(text)
 
 
 def test_header_vertex_count_is_capped_before_allocating(monkeypatch, tmp_path, capsys):

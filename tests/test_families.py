@@ -68,6 +68,8 @@ def test_gen_complete_multipartite():
     g = gen_complete_multipartite([2, 3, 4])
     assert g.n == 9
     assert len(g.edges) == 26
+    with pytest.raises(FamilySpecError, match="at least one size"):
+        gen_complete_multipartite([])
 
 
 def test_gen_ferrers_structure():
@@ -217,6 +219,8 @@ def test_count_complete_multipartite():
             assert count_complete_multipartite([m, n]) == count_complete_bipartite(m, n)
     assert count_complete_multipartite([3]) == 0
     assert count_complete_multipartite([1]) == 1
+    with pytest.raises(FamilySpecError, match="at least one size"):
+        count_complete_multipartite([])
     # K_3000 spelled three ways, and K_{a,b} three ways
     assert count_complete(3000) == count_complete_multipartite([1] * 3000) == count_threshold("d" * 2999)
     for a in range(1, 61):

@@ -222,6 +222,48 @@ def test_find_bipartition():
     assert bp == Bipartition((1, 3), (2,))
 
 
+def dfs_bipartition(g):
+    """The reference two-colouring: a depth-first search from each smallest
+    uncoloured vertex that stops at the first edge inside one colour."""
+    color = {}
+    for start in range(1, g.n + 1):
+        if start in color:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in g.neighbors(v):
+                if w not in color:
+                    color[w] = 1 - color[v]
+                    stack.append(w)
+                elif color[w] == color[v]:
+                    return None
+    rows = tuple(v for v in range(1, g.n + 1) if color[v] == 0)
+    cols = tuple(v for v in range(1, g.n + 1) if color[v] == 1)
+    return Bipartition(rows, cols)
+
+
+@st.composite
+def graphs_of_several_components(draw):
+    """Graphs on at most 10 vertices, often with isolated vertices and several
+    components; half of them keep only the edges across a random split of
+    the vertices, so that they are bipartite."""
+    n = draw(st.integers(1, 10))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    if draw(st.booleans()):
+        side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        edges = [(i, j) for i, j in edges if side[i - 1] != side[j - 1]]
+    return Graph(n, edges)
+
+
+@given(graphs_of_several_components())
+@settings(max_examples=300, deadline=None)
+def test_find_bipartition_matches_the_depth_first_reference(g):
+    assert find_bipartition(g) == dfs_bipartition(g)
+
+
 def test_s_matrix_ferrers_is_upper_triangular_with_degree_diagonal():
     g = gen_ferrers([4, 4, 3, 2, 1])
     bp = Bipartition((1, 2, 3, 4, 5), (6, 7, 8, 9))

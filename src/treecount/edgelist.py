@@ -21,16 +21,18 @@ class EdgeListParseError(ValueError):
 def parse_edgelist(text: str) -> Graph:
     """Parse an edge-list document into a Graph.
 
-    One pass over the lines of `text.splitlines()`: both caps are checked
-    on the header before any edge line is read, and an edge line past the
-    header's m is refused where it stands, so memory follows the header,
-    not the length of the document.
+    One pass over the lines of `text.splitlines()`: a negative edge count
+    and both caps are checked on the header before any edge line is read,
+    and an edge line past the header's m is refused where it stands, so
+    memory follows the header, not the length of the document.
     """
     lines = _data_lines(text)
     lineno, header = next(lines, (None, None))
     if header is None:
         raise EdgeListParseError("no header line found")
     n, m = _two_ints(lineno, header, "header must be 'n m'", "header must be two integers")
+    if m < 0:
+        raise EdgeListParseError(f"line {lineno}: header declares {m} edges, a negative count")
     if n > MAX_VERTICES:
         raise EdgeListParseError(f"line {lineno}: {n} vertices is above the limit of {MAX_VERTICES}")
     if m > MAX_EDGES:

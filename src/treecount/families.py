@@ -5,6 +5,10 @@ Ferrers graphs of integer partitions, and threshold graphs given by a
 creation sequence.  Each family has a generator returning a Graph with a
 fixed, documented vertex numbering, and a closed-form count that the test
 suite checks against the determinant methods and the brute-force oracles.
+Under that numbering every family joins each vertex v to exactly the
+vertices 1..a_v below it, so each generator only computes its sequence a
+of lower-neighbour counts (for a Ferrers graph, the conjugate partition
+after a zero per row).
 
 Family spec strings (shared by all CLI commands):
 
@@ -23,7 +27,6 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from collections.abc import Sequence
 
 from .graph import MAX_EDGES, MAX_VERTICES, Graph
@@ -81,10 +84,16 @@ def _parse_bits(text: str) -> str:
     return _check_bits(text)
 
 
+def _prefix_graph(lower: Sequence[int]) -> Graph:
+    """The graph on 1..len(lower) that joins each vertex v to exactly the
+    vertices 1..lower[v-1] below it."""
+    return Graph(len(lower), ((u, v) for v, below in enumerate(lower, 1) for u in range(1, below + 1)))
+
+
 def gen_complete(n: int) -> Graph:
     """Complete graph on n vertices: every pair joined."""
     _check_positive("n", n)
-    return Graph(n, combinations(range(1, n + 1), 2))
+    return _prefix_graph(range(n))
 
 
 def gen_complete_bipartite(m: int, n: int) -> Graph:
@@ -92,7 +101,7 @@ def gen_complete_bipartite(m: int, n: int) -> Graph:
     with exactly the m*n cross edges."""
     _check_positive("m", m)
     _check_positive("n", n)
-    return Graph(m + n, ((i, m + j) for i in range(1, m + 1) for j in range(1, n + 1)))
+    return _prefix_graph([0] * m + [m] * n)
 
 
 def gen_complete_multipartite(sizes: Sequence[int]) -> Graph:
@@ -103,17 +112,10 @@ def gen_complete_multipartite(sizes: Sequence[int]) -> Graph:
     different parts.
     """
     sizes = _check_sizes(sizes)
-    n = sum(sizes)
-    part = []
-    for index, size in enumerate(sizes):
-        part.extend([index] * size)
-    edges = (
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if part[i - 1] != part[j - 1]
-    )
-    return Graph(n, edges)
+    lower = []
+    for size in sizes:  # a part's vertices see every vertex of the parts before it
+        lower += [len(lower)] * size
+    return _prefix_graph(lower)
 
 
 def gen_ferrers(parts: Sequence[int]) -> Graph:
@@ -124,9 +126,7 @@ def gen_ferrers(parts: Sequence[int]) -> Graph:
     diagram has a box at (i,j), i.e. j <= parts[i-1].
     """
     parts = _check_partition(parts)
-    m = len(parts)
-    edges = ((i, m + j) for i in range(1, m + 1) for j in range(1, parts[i - 1] + 1))
-    return Graph(m + parts[0], edges)
+    return _prefix_graph([0] * len(parts) + conjugate_partition(parts))
 
 
 def gen_threshold(bits) -> Graph:
@@ -134,25 +134,22 @@ def gen_threshold(bits) -> Graph:
 
     Construction: start from a single vertex, then for each character add a
     dominating vertex ('d', adjacent to all vertices so far) or an isolated
-    one ('i').  The result is then relabelled so that the dominating
-    vertices come first in reverse addition order (last added becomes
-    vertex 1), the initial vertex follows them at position t = #d + 1, and
-    the isolated additions trail in addition order.  Under this labelling,
-    vertices 1..t form the unique maximal clique prefix and every edge
-    {k,l} with k < l implies the edges {i,l} for i < k and {k,j} for j < l.
+    one ('i').  The dominating vertices are numbered first in reverse
+    addition order (last added becomes vertex 1), the initial vertex
+    follows them at position t = #d + 1, and the isolated additions trail
+    in addition order.  Under this labelling, vertices 1..t form the unique
+    maximal clique prefix, an isolated addition is joined to the vertices
+    1..c where c is the number of 'd's after it, and every edge {k,l} with
+    k < l implies the edges {i,l} for i < k and {k,j} for j < l.
     """
     text = _check_bits(bits)
-    n = len(text) + 1
-    # construction ids: 0 is the initial vertex, then 1..n-1 in addition order
-    raw_edges = []
-    for step, ch in enumerate(text, start=1):
-        if ch == DOMINATING:
-            raw_edges.extend((earlier, step) for earlier in range(step))
-    dominating = [step for step, ch in enumerate(text, start=1) if ch == DOMINATING]
-    isolated = [step for step, ch in enumerate(text, start=1) if ch == ISOLATED]
-    order = list(reversed(dominating)) + [0] + isolated
-    label = {old: new for new, old in enumerate(order, start=1)}
-    return Graph(n, ((label[a], label[b]) for a, b in raw_edges))
+    later = text.count(DOMINATING)  # 'd' steps after the current one
+    lower = list(range(later + 1))  # the clique prefix 1..t
+    for ch in text:
+        later -= ch == DOMINATING
+        if ch == ISOLATED:
+            lower.append(later)
+    return _prefix_graph(lower)
 
 
 def threshold_t(g: Graph) -> int:

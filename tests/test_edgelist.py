@@ -86,22 +86,27 @@ def test_a_long_document_keeps_its_line_numbers():
 
 def test_edge_lines_past_the_header_count_are_refused_in_memory_that_follows_the_header():
     """A document declaring one edge and holding 200 000 is refused at its
-    second edge line, without a copy of its lines: the traced peak stays
-    below 8 bytes per character of the document."""
-    text = "2 1\n" + "1 2\n" * 200_000
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        with pytest.raises(EdgeListParseError, match="line 3: header declares 1 edges but this is edge line 2"):
-            parse_edgelist(text)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
+    second edge line, and one declaring -1 edges on its header, without a
+    copy of its lines: the traced peak stays below 8 bytes per character
+    of the document."""
+    for header, error in (
+        ("2 1", "line 3: header declares 1 edges but this is edge line 2"),
+        ("2 -1", "line 1: header declares -1 edges, a negative count"),
+    ):
+        text = header + "\n" + "1 2\n" * 200_000
+        tracing = tracemalloc.is_tracing()
         if not tracing:
-            tracemalloc.stop()
-    assert peak < 8 * len(text)
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            with pytest.raises(EdgeListParseError, match=error):
+                parse_edgelist(text)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 8 * len(text), header
 
 
 def test_header_vertex_count_is_capped_before_allocating(monkeypatch, tmp_path, capsys):

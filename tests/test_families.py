@@ -1,6 +1,7 @@
 import random
 from collections import Counter
-from itertools import permutations, product
+from itertools import combinations, permutations, product
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -337,9 +338,86 @@ FAMILY_SPECS = st.one_of(
 @given(FAMILY_SPECS)
 @settings(max_examples=200, deadline=None)
 def test_closed_form_size_equals_the_generated_graph(spec):
+    """size() equals the built graph's (vertices, edges), and so the length
+    and sum of the lower-neighbour sequence the generator hands to
+    _prefix_graph, each of whose entries a_v lies in 0..v-1."""
     fam = parse_family(spec)
-    g = fam.graph()
-    assert fam.size() == (g.n, len(g.edges))
+    with mock.patch.object(families, "_prefix_graph", wraps=families._prefix_graph) as spy:
+        g = fam.graph()
+    (lower,), _ = spy.call_args
+    assert all(0 <= below < v for v, below in enumerate(lower, 1))
+    assert fam.size() == (g.n, len(g.edges)) == (len(lower), sum(lower))
+
+
+# Reference generators, one independent edge loop per family in the
+# documented numbering: Family.graph() must match them label for label.
+def reference_complete(n):
+    return Graph(n, combinations(range(1, n + 1), 2))
+
+
+def reference_bipartite(m, n):
+    return Graph(m + n, ((i, m + j) for i in range(1, m + 1) for j in range(1, n + 1)))
+
+
+def reference_multipartite(sizes):
+    n = sum(sizes)
+    part = []
+    for index, size in enumerate(sizes):
+        part.extend([index] * size)
+    edges = ((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if part[i - 1] != part[j - 1])
+    return Graph(n, edges)
+
+
+def reference_ferrers(parts):
+    m = len(parts)
+    return Graph(m + parts[0], ((i, m + j) for i in range(1, m + 1) for j in range(1, parts[i - 1] + 1)))
+
+
+def reference_threshold(bits):
+    # construction ids: 0 is the initial vertex, then 1..n-1 in addition order
+    raw_edges = []
+    for step, ch in enumerate(bits, start=1):
+        if ch == "d":
+            raw_edges.extend((earlier, step) for earlier in range(step))
+    dominating = [step for step, ch in enumerate(bits, start=1) if ch == "d"]
+    isolated = [step for step, ch in enumerate(bits, start=1) if ch == "i"]
+    order = list(reversed(dominating)) + [0] + isolated
+    label = {old: new for new, old in enumerate(order, start=1)}
+    return Graph(len(bits) + 1, ((label[a], label[b]) for a, b in raw_edges))
+
+
+REFERENCE = {
+    "complete": lambda args: reference_complete(args[0]),
+    "bipartite": lambda args: reference_bipartite(*args),
+    "multipartite": reference_multipartite,
+    "ferrers": reference_ferrers,
+    "threshold": lambda args: reference_threshold(args[0]),
+}
+
+
+@given(FAMILY_SPECS)
+@example("complete:7")
+@example("bipartite:3,4")
+@example("multipartite:1,2,3")
+@example("ferrers:4,3,3,1")
+@example("threshold:ididd")
+@settings(max_examples=300, deadline=None)
+def test_generated_graph_equals_the_reference_edge_loops(spec):
+    fam = parse_family(spec)
+    assert fam.graph() == REFERENCE[fam.kind](fam.args)
+
+
+def test_closed_forms_never_build_the_lower_neighbour_graph(monkeypatch):
+    """formula_count() and size() are independent of the lower-neighbour
+    sequences: neither calls _prefix_graph."""
+    def fail(lower):
+        raise AssertionError("a closed form built the lower-neighbour graph")
+
+    monkeypatch.setattr(families, "_prefix_graph", fail)
+    for spec in ("complete:7", "bipartite:3,4", "multipartite:1,2,3", "ferrers:4,3,3,1", "threshold:ididd"):
+        fam = parse_family(spec)
+        assert fam.formula_count() > 0
+        assert fam.size()[1] > 0
 
 
 def test_size_of_large_families_builds_nothing(monkeypatch):

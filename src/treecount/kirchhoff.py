@@ -3,21 +3,27 @@
 Three independent routes to tau(G): the classical reduced-Laplacian
 cofactor, a rank-one determinant update det(L + u v^T) = (sum u)(sum v) tau,
 and a Schur-complement reduction that collapses a bipartite Laplacian onto
-one side of the bipartition.  All arithmetic is exact; every division is
-checked and any negative or inexact intermediate is an assertion failure,
-never a value.
+one side of the bipartition.  All arithmetic is exact.
+
+Each route's determinant is a known nonzero integer times tau: +-1 for a
+reduced minor, (sum u)(sum v) for the rank-one update, and |R| |C| for
+the reduction's det(S) prod deg(c).  Each tree gives every vertex but a
+root r the edge towards r, so tau is at most the degree product
+B_r = prod_{v != r} deg(v).  Every route ends in `_count`, the one place
+that divides: it asserts that the division is exact and that
+0 <= tau <= B_r, so an inexact, negative or oversized count is an
+assertion failure, never a value.
 
 The bipartite reduction works over GF(P) for one prime P: the entries
 1/deg(c) of its matrix S become modular inverses, and `linalg.det_mod`
-takes det(S) mod P.  tau is at most the degree product
-B = prod_{v != 1} deg(v) (each tree gives every vertex but 1 the edge
-towards 1), and P is the smallest tabled prime above 2 B 2^64, so the
-residue in [0, P) is tau itself.  The 64 bits of margin make the assert
-that the residue is at most B a self-check, at least as strong as the
-integrality check of a count over the rationals: when a wrong S gives a
-rational count that is not an integer in [0, B], its residue lands at most
-B only by chance, about once in 2^64.  A wrong S whose count is still such
-an integer passes, as it would over the rationals.
+takes det(S) mod P.  P is the smallest tabled prime above 2 B_1 2^64, and
+|R| |C| < 2^33, so the residue of det(S) prod deg(c) in [0, P) is
+|R| |C| tau itself, and `_count` divides it like any other determinant.
+The 64 bits of margin make that tail a self-check, at least as strong as
+the integrality check of a count over the rationals: a wrong S passes
+only when its residue is one of the B_1 + 1 multiples of |R| |C| up to
+|R| |C| B_1, about once in 2^64.  A wrong S whose count is still an
+integer in [0, B_1] passes, as it would over the rationals.
 """
 
 from __future__ import annotations
@@ -93,16 +99,29 @@ def find_bipartition(g: Graph) -> Bipartition | None:
     return Bipartition(rows, cols)
 
 
+def _degree_bound(g: Graph, root: int) -> int:
+    """prod_{v != root} deg(v), an upper bound on tau(g) for any root."""
+    return prod(g.degree(v) for v in range(1, g.n + 1) if v != root)
+
+
+def _count(det: int, scale: int, bound: int) -> int:
+    """tau = det / scale, for a route whose determinant is scale * tau and
+    whose count is at most bound; the only place a count is divided or
+    checked.  A remainder, or a quotient outside [0, bound], is an
+    arithmetic bug, not an error path."""
+    value, rem = divmod(det, scale)
+    assert rem == 0 and 0 <= value <= bound, "determinant is not scale times a count in [0, bound]"
+    return value
+
+
 def tau_reduced(g: Graph, row: int, col: int) -> int:
     """Count spanning trees from the reduced Laplacian with `row` and `col`
     deleted: (-1)^(row+col) det(L_{row,col}).  Any vertex pair gives the
     same value; disconnected graphs give 0.  The minor is
     `linalg.minor_matrix` of the sparse Laplacian rows, so it stays in dict
     rows, and indices outside 1..n raise IndexOutOfRangeError there."""
-    sign = -1 if (row + col) % 2 else 1
-    value = sign * linalg.det_int(linalg.minor_matrix(g.laplacian_rows(), row, col))
-    assert value >= 0, f"reduced-Laplacian count came out negative: {value}"
-    return value
+    minor = linalg.minor_matrix(g.laplacian_rows(), row, col)
+    return _count(linalg.det_int(minor), -1 if (row + col) % 2 else 1, _degree_bound(g, row))
 
 
 def tau_rank_one(g: Graph, u: Sequence[int], v: Sequence[int]) -> int:
@@ -110,16 +129,12 @@ def tau_rank_one(g: Graph, u: Sequence[int], v: Sequence[int]) -> int:
 
     Both vector sums must be nonzero; the identity degenerates to 0 = 0
     otherwise.  The division is exact for any valid input, so a remainder
-    is an arithmetic bug, not an error path.
+    is an arithmetic bug, not an error path (see `_count`).
     """
     sum_u, sum_v = sum(u), sum(v)
     if sum_u == 0 or sum_v == 0:
         raise ZeroVectorSumError("vector sums must be nonzero to recover the count")
-    det = linalg.det_perturbed(g.laplacian_rows(), u, v)
-    value, rem = divmod(det, sum_u * sum_v)
-    assert rem == 0, "rank-one update determinant not divisible by the vector sums"
-    assert value >= 0, f"rank-one count came out negative: {value}"
-    return value
+    return _count(linalg.det_perturbed(g.laplacian_rows(), u, v), sum_u * sum_v, _degree_bound(g, 1))
 
 
 def tau_temperley(g: Graph) -> int:
@@ -182,14 +197,12 @@ def tau_bipartite_schur(g: Graph, bp: Bipartition | None = None) -> int:
     if m == 0 or n == 0:
         raise NotBipartitionError("both sides must be nonempty")
     degrees = _column_degrees(g, bp)
-    bound = prod(g.degree(v) for v in range(2, g.n + 1))
+    bound = _degree_bound(g, 1)
     p = linalg.prime_above(2 * bound << 64)
     if p is None:
         raise BoundAbovePrimesError(f"the degree-product bound has {bound.bit_length()} bits")
     det = linalg.det_mod(_reduction(g, bp, {c: pow(d, -1, p) for c, d in degrees.items()}), p)
-    value = det * prod(degrees.values()) * pow(m * n, -1, p) % p
-    assert value <= bound, "bipartite reduction residue exceeds the degree-product bound"
-    return value
+    return _count(det * prod(degrees.values()) % p, m * n, bound)
 
 
 def tau(g: Graph) -> int:

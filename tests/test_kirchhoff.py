@@ -26,6 +26,7 @@ from treecount import (
     gen_ferrers,
     kirchhoff,
     linalg,
+    oracle,
     parse_family,
     s_matrix,
     tau,
@@ -116,7 +117,8 @@ def test_each_laplacian_count_reaches_the_kernels_through_one_public_call():
     a small one whose matrices take Bareiss elimination; schur calls
     linalg.det_mod once and det_int never.  The rank-one routes reach
     det_int through det_perturbed, so a tracer that wraps det_int sees
-    their kernel time."""
+    their kernel time.  Each of the four ends in one call of
+    kirchhoff._count, the checked tail."""
     grid = Graph(36, [(v, v + 1) for v in range(1, 36) if v % 6] + [(v, v + 6) for v in range(1, 31)])  # 6 x 6
     cube = Graph(8, [(v + 1, (v | bit) + 1) for v in range(8) for bit in (1, 2, 4) if not v & bit])  # Q3
     for g, expected in ((grid, 32565539635200), (cube, 384)):
@@ -129,9 +131,46 @@ def test_each_laplacian_count_reaches_the_kernels_through_one_public_call():
             with (
                 mock.patch.object(linalg, "det_int", wraps=linalg.det_int) as det_int_spy,
                 mock.patch.object(linalg, "det_mod", wraps=linalg.det_mod) as det_mod_spy,
+                mock.patch.object(kirchhoff, "_count", wraps=kirchhoff._count) as count_spy,
             ):
                 assert cli.METHODS[method](g, None) == expected, method
             assert (det_int_spy.call_count, det_mod_spy.call_count) == (det_int_calls, det_mod_calls), method
+            assert count_spy.call_count == 1, method
+
+
+# route -> (the kernel its determinant comes from, the count, the scale
+# relating the two on the 5-vertex graphs below); each bounds tau by B_1
+TAIL_ROUTES = {
+    "reduced": ("det_int", lambda g: tau_reduced(g, 1, 2), -1),
+    "rankone": ("det_perturbed", lambda g: tau_rank_one(g, [2, 0, 1, 0, 0], [0, 3, 0, 0, 0]), 9),
+    "temperley": ("det_perturbed", tau_temperley, 25),
+}
+
+
+@pytest.mark.parametrize("route", TAIL_ROUTES)
+def test_count_tail_refuses_a_determinant_off_the_scale_or_above_the_bound(route):
+    """A determinant of scale * bound gives the bound; one of
+    scale * (bound + 1), or of scale times a negative count, or one that
+    scale does not divide, is an assertion failure."""
+    kernel, count, scale = TAIL_ROUTES[route]
+    g = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 3)])  # 5-cycle and a chord
+    bound = kirchhoff._degree_bound(g, 1)
+    assert count(g) == tau_subsets(g) == 11 < bound == 24
+    with mock.patch.object(linalg, kernel, return_value=scale * bound):
+        assert count(g) == bound
+    wrong = [scale * (bound + 1), -scale]
+    if abs(scale) > 1:
+        wrong.append(scale * 11 + 1)
+    for det in wrong:
+        with mock.patch.object(linalg, kernel, return_value=det), pytest.raises(AssertionError):
+            count(g)
+
+
+def test_degree_bound_of_a_star_is_one_at_its_centre():
+    for leaves in range(6):
+        star = gen_complete_bipartite(1, leaves) if leaves else build_graph(1, [])
+        assert kirchhoff._degree_bound(star, 1) == tau_reduced(star, 1, 1) == 1
+        assert all(kirchhoff._degree_bound(star, leaf) == leaves for leaf in range(2, leaves + 2))
 
 
 def test_tau_rank_one_examples(diamond):
@@ -262,6 +301,23 @@ def graphs_of_several_components(draw):
 @settings(max_examples=300, deadline=None)
 def test_find_bipartition_matches_the_depth_first_reference(g):
     assert find_bipartition(g) == dfs_bipartition(g)
+
+
+@st.composite
+def graphs_on_any_edges(draw):
+    """Graphs on at most 8 vertices with any edge set, so dense, sparse,
+    disconnected and with isolated vertices."""
+    n = draw(st.integers(1, 8))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return Graph(n, [pair for pair in pairs if draw(st.booleans())])
+
+
+@given(st.one_of(graphs_on_any_edges(), graphs_of_several_components()))
+@settings(max_examples=200, deadline=None)
+def test_tree_count_is_at_most_the_degree_product_at_every_root(g):
+    count = oracle.tau_delcon(oracle.Multigraph.from_graph(g))
+    for root in range(1, g.n + 1):
+        assert count <= kirchhoff._degree_bound(g, root)
 
 
 def test_s_matrix_ferrers_is_upper_triangular_with_degree_diagonal():

@@ -30,6 +30,7 @@ from .kirchhoff import (
     Bipartition,
     BoundAbovePrimesError,
     IsolatedColumnVertexError,
+    MethodUnavailableError,
     NotBipartitionError,
     ZeroVectorSumError,
     check_bipartition,
@@ -89,7 +90,7 @@ __all__ = [
     "tau", "tau_reduced", "tau_rank_one", "tau_temperley",
     "s_matrix", "tau_bipartite_schur",
     "ZeroVectorSumError", "NotBipartitionError", "IsolatedColumnVertexError",
-    "BoundAbovePrimesError",
+    "BoundAbovePrimesError", "MethodUnavailableError",
     "gen_complete", "gen_complete_bipartite", "gen_complete_multipartite",
     "gen_ferrers", "gen_threshold", "threshold_t", "conjugate_partition",
     "count_complete", "count_complete_bipartite", "count_complete_multipartite",

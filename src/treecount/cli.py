@@ -7,7 +7,8 @@ its guard.  The guard defaults to 10^7 subsets and can be
 overridden with the TREECOUNT_ORACLE_LIMIT environment variable, which must
 be an integer >= 0 (exit 2 otherwise).  The variable is read only when the
 subset oracle runs, so a malformed value fails only the commands that run
-it.
+it.  Exit 3 is kirchhoff.MethodUnavailableError, the one class of every
+route's refusal, or formula without a --family input.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import time
 
 from . import edgelist, families, kirchhoff, oracle
 from .graph import MAX_EDGES, Graph
+from .kirchhoff import MethodUnavailableError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -35,10 +37,6 @@ EXIT_ORACLE = 4
 
 class CliInputError(ValueError):
     """Bad command-line input not caught by argparse itself."""
-
-
-class MethodUnavailableError(Exception):
-    """The requested method cannot run on this input."""
 
 
 class MismatchError(Exception):
@@ -71,15 +69,6 @@ def _load_input(args, build: bool = True) -> tuple[Graph | None, families.Family
     raise CliInputError("an input is required: --family or --file")
 
 
-def _schur(g: Graph, fam) -> int:
-    try:
-        return kirchhoff.tau_bipartite_schur(g)
-    except kirchhoff.NotBipartitionError:
-        raise MethodUnavailableError("schur needs a bipartite graph with two nonempty sides") from None
-    except kirchhoff.BoundAbovePrimesError as exc:
-        raise MethodUnavailableError(f"schur cannot count this graph: {exc}") from None
-
-
 def _formula(g: Graph | None, fam: families.Family | None) -> int:
     if fam is None:
         raise MethodUnavailableError("formula needs a --family input")
@@ -93,7 +82,7 @@ METHODS = {
     "reduced": lambda g, fam: kirchhoff.tau_reduced(g, 1, 1),
     "rankone": lambda g, fam: kirchhoff.tau_rank_one(g, [1] * g.n, [1] + [0] * (g.n - 1)),
     "temperley": lambda g, fam: kirchhoff.tau_temperley(g),
-    "schur": _schur,
+    "schur": lambda g, fam: kirchhoff.tau_bipartite_schur(g),
     "formula": _formula,
     "oracle": lambda g, fam: oracle.tau_subsets(g, _subset_limit()),
     "delcon": lambda g, fam: oracle.tau_delcon(oracle.Multigraph.from_graph(g)),
@@ -194,6 +183,8 @@ def _random_connected_graph(rng: random.Random, n: int) -> Graph:
 def cmd_verify(args) -> int:
     methods = _parse_method_list(args.methods) if args.methods else None
     if args.random is not None:
+        if args.family or args.file:
+            raise CliInputError("--random draws its own graphs: give no --family or --file")
         return _verify_random(args, methods)
     g, fam = _load_input(args)
     rows = _run_methods(g, fam, methods)

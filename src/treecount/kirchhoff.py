@@ -24,6 +24,11 @@ the integrality check of a count over the rationals: a wrong S passes
 only when its residue is one of the B_1 + 1 multiples of |R| |C| up to
 |R| |C| B_1, about once in 2^64.  A wrong S whose count is still an
 integer in [0, B_1] passes, as it would over the rationals.
+
+Every refusal of a route to count an input is a MethodUnavailableError:
+an odd cycle, an empty side, an isolated column vertex or a bound above
+the primes for the reduction, a zero vector sum for the rank-one update.
+One except clause catches them all; the CLI maps it to exit 3.
 """
 
 from __future__ import annotations
@@ -37,19 +42,23 @@ from . import linalg
 from .graph import Graph, reach
 
 
-class ZeroVectorSumError(ValueError):
+class MethodUnavailableError(ValueError):
+    """A counting route cannot count this input."""
+
+
+class ZeroVectorSumError(MethodUnavailableError):
     """A rank-one update vector sums to zero, so the count cannot be recovered."""
 
 
-class NotBipartitionError(ValueError):
+class NotBipartitionError(MethodUnavailableError):
     """The given vertex split is not a bipartition of the graph."""
 
 
-class IsolatedColumnVertexError(ValueError):
+class IsolatedColumnVertexError(MethodUnavailableError):
     """A column-side vertex has degree zero, so 1/deg(c) is undefined."""
 
 
-class BoundAbovePrimesError(ValueError):
+class BoundAbovePrimesError(MethodUnavailableError):
     """The bipartite reduction's degree-product bound, with its margin, is
     above the largest tabled prime."""
 
@@ -133,7 +142,7 @@ def tau_rank_one(g: Graph, u: Sequence[int], v: Sequence[int]) -> int:
     """
     sum_u, sum_v = sum(u), sum(v)
     if sum_u == 0 or sum_v == 0:
-        raise ZeroVectorSumError("vector sums must be nonzero to recover the count")
+        raise ZeroVectorSumError("rank-one vector sums must be nonzero to recover the count")
     return _count(linalg.det_perturbed(g.laplacian_rows(), u, v), sum_u * sum_v, _degree_bound(g, 1))
 
 
@@ -163,7 +172,7 @@ def _column_degrees(g: Graph, bp: Bipartition) -> dict[int, int]:
     degrees = {c: g.degree(c) for c in bp.cols}
     for c, d in degrees.items():
         if d == 0:
-            raise IsolatedColumnVertexError(f"column vertex {c} has degree 0")
+            raise IsolatedColumnVertexError(f"schur cannot count this graph: column vertex {c} has degree 0")
     return degrees
 
 
@@ -190,17 +199,17 @@ def tau_bipartite_schur(g: Graph, bp: Bipartition | None = None) -> int:
     if bp is None:
         bp = find_bipartition(g)
         if bp is None:
-            raise NotBipartitionError("graph has an odd cycle")
+            raise NotBipartitionError("schur needs a bipartite graph; this one has an odd cycle")
     else:
         check_bipartition(g, bp)
     m, n = len(bp.rows), len(bp.cols)
     if m == 0 or n == 0:
-        raise NotBipartitionError("both sides must be nonempty")
+        raise NotBipartitionError("schur needs a bipartite graph with two nonempty sides")
     degrees = _column_degrees(g, bp)
     bound = _degree_bound(g, 1)
     p = linalg.prime_above(2 * bound << 64)
     if p is None:
-        raise BoundAbovePrimesError(f"the degree-product bound has {bound.bit_length()} bits")
+        raise BoundAbovePrimesError(f"schur cannot count this graph: a {bound.bit_length()}-bit degree product")
     det = linalg.det_mod(_reduction(g, bp, {c: pow(d, -1, p) for c, d in degrees.items()}), p)
     return _count(det * prod(degrees.values()) % p, m * n, bound)
 

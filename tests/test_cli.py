@@ -208,6 +208,17 @@ def test_verify_random_corpus(capsys):
     assert "seed=7" in out
 
 
+def test_verify_random_refuses_a_family_or_a_file_input(capsys, tmp_path):
+    """--random draws its own graphs, so an input given beside it is an
+    error (exit 2), not silently dropped."""
+    path = write_edges(tmp_path / "g.edges", 2, [(1, 2)])
+    for extra in (["--family", "complete:3"], ["--file", str(path)], ["--file", str(tmp_path / "missing")]):
+        code, out, err = run(capsys, "verify", "--random", "n=4", "trials=1", *extra)
+        assert code == EXIT_PARSE, extra
+        assert out == ""
+        assert "--random" in err
+
+
 def test_verify_random_n_is_capped_by_its_vertex_pairs(capsys, monkeypatch):
     """--random n=K is refused (exit 2) when its K(K-1)/2 candidate edges,
     each a coin drawn before any graph is built, exceed MAX_EDGES."""
@@ -414,6 +425,35 @@ def test_no_counting_method_builds_a_fraction(capsys, monkeypatch, tmp_path):
     ):
         assert run(capsys, *argv)[0] == EXIT_OK, argv
     assert made == [] and unused == []
+
+
+ROUTE_REFUSALS = [
+    kirchhoff.NotBipartitionError,
+    kirchhoff.IsolatedColumnVertexError,
+    kirchhoff.BoundAbovePrimesError,
+    kirchhoff.ZeroVectorSumError,
+]
+
+
+@pytest.mark.parametrize("refusal", ROUTE_REFUSALS, ids=lambda cls: cls.__name__)
+def test_every_route_refusal_exits_3_from_count_and_is_left_out_by_verify(capsys, monkeypatch, refusal):
+    """Each kirchhoff refusal is the CLI's one exit-3 class, whichever
+    route raises it; schur is patched to raise each in turn."""
+    assert cli.MethodUnavailableError is kirchhoff.MethodUnavailableError
+    assert issubclass(refusal, cli.MethodUnavailableError) and issubclass(refusal, ValueError)
+
+    def refuse(g, bp=None):
+        raise refusal("schur cannot count this graph")
+
+    monkeypatch.setattr(kirchhoff, "tau_bipartite_schur", refuse)
+    code, out, err = run(capsys, "count", "--family", "bipartite:2,3", "--method", "schur")
+    assert code == EXIT_METHOD
+    assert out == ""
+    assert err.splitlines() == ["error: schur cannot count this graph"]
+    code, out, _ = run(capsys, "verify", "--family", "bipartite:2,3")
+    assert code == EXIT_OK
+    assert verify_methods(out) == ["reduced", "rankone", "temperley", "formula", "oracle", "delcon"]
+    assert "all methods agree: tau = 12" in out
 
 
 def test_exit_code_formula_needs_family(capsys, tmp_path):

@@ -186,6 +186,8 @@ def cmd_verify(args) -> int:
         if args.family or args.file:
             raise CliInputError("--random draws its own graphs: give no --family or --file")
         return _verify_random(args, methods)
+    if args.seed is not None:
+        raise CliInputError("--seed seeds the --random corpus: give it only with --random")
     g, fam = _load_input(args)
     rows = _run_methods(g, fam, methods)
     width = max(len(m) for m, _, _ in rows)
@@ -295,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VAL",
         help="check random connected graphs, e.g. --random n=6 trials=50",
     )
-    verify.add_argument("--seed", type=int, help="seed for the random corpus")
+    verify.add_argument("--seed", type=int, help="seed for the --random corpus (only with --random)")
     verify.set_defaults(func=cmd_verify)
 
     generate = sub.add_parser("generate", help="write a family graph as an edge list")

@@ -21,18 +21,31 @@ last four edges of a tree are not enumerated but counted in one pass over
 the remaining edges, from the number of edges crossing each pair of the
 last five components.
 
-The recurrence splits a whole bundle at a time: for the k parallel copies
-of an edge ab, every spanning tree uses none of them or exactly one, so
-tau(G) = tau(G - all k copies) + k * tau(G / ab).  Before each split it
-strips pendant vertices, found with a queue: a vertex whose only bundle has
-k copies is joined to the tree by one of them, a factor of k, and a vertex
-with no bundle left (other than the last one) leaves no spanning tree.
-The recurrence ends at five vertices: a stripped state of three has a
-bundle between every two of its vertices, x, y and z copies, and xy + yz +
-zx spanning trees, or no bundle at all.  Each split takes the bundle with
-the smallest labels.  Different split orders reach the same stripped
-multigraph, so each call keeps a cache from stripped state to tau
-(Haggard, Pearce and Royle's deletion-contraction with a subgraph cache).
+The recurrence splits at a vertex where it can, by the rooted-forest
+expansion (Chaiken 1982) that `_k5_trees` uses for its fifth part.  Take v,
+the vertex with the fewest bundles (the smallest label on ties), with k_u
+copies to each neighbour u.  Every spanning tree uses the bundles of some
+nonempty set S of v's neighbours: with one, it is a tree of G - v with v
+hung on it; with |S| >= 2, less v it is a forest of G - v with one tree per
+member of S, that is a spanning tree of (G - v)/S, S merged into its
+smallest label and the bundles inside S dropped.  So
+tau(G) = (sum of k_u) * tau(G - v)
+         + the sum over S with |S| >= 2 of (product of k_u over S) * tau((G - v)/S):
+two parts when v has two bundles, five when it has three.
+A vertex of d bundles would split into 2^d - d parts, so when v has four
+or more the recurrence splits one bundle instead: for the k parallel
+copies of an edge ab, every spanning tree uses none of them or exactly
+one, so tau(G) = tau(G - all k copies) + k * tau(G / ab).  Before each
+split it strips pendant vertices, found with a queue: a vertex whose only
+bundle has k copies is joined to the tree by one of them, a factor of k,
+and a vertex with no bundle left (other than the last one) leaves no
+spanning tree.  The recurrence ends at five vertices: a stripped state of
+three has a bundle between every two of its vertices, x, y and z copies,
+and xy + yz + zx spanning trees, or no bundle at all.  A bundle split
+takes the bundle with the smallest labels.  Different splits reach the
+same stripped multigraph, so each call keeps a cache from stripped state
+to tau (Haggard, Pearce and Royle's deletion-contraction with a subgraph
+cache).
 Both oracles run on explicit stacks: neither depends on Python's recursion
 limit.
 
@@ -58,6 +71,7 @@ from collections import Counter, deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import combinations
 
 from .graph import Graph, reach
 
@@ -301,13 +315,19 @@ def tau_delcon(mg: Multigraph) -> int:
     count xy + yz + zx for the x, y, z copies between them (0 when they are
     stranded trees, with no bundle left), four and five count `_k5_trees`
     of their bundles (0 when the vertices are not connected), and a
-    disconnected state counts 0.  Otherwise its first bundle in sorted
-    order, ab with k copies, splits it: tau = tau(G - ab) + k * tau(G /
-    ab), b merged into a.  The recurrence runs on an explicit post-order
-    stack: a split pushes a combine frame under its two halves, and the
-    frame adds their results once both are on the value stack.
+    disconnected state counts 0.  Otherwise it splits (see the module
+    docstring).  At v, the vertex with the fewest bundles and the smallest
+    label on ties, when v has two or three: tau = (sum of k_u) * tau(G - v)
+    + the sum over sets S of two or more of v's neighbours of (product of
+    k_u over S) * tau((G - v)/S), for k_u copies from v to u.  Else at its
+    first bundle in sorted order, ab with k copies: tau = tau(G - ab) + k *
+    tau(G / ab).  `_merged` builds every contraction.  The recurrence runs
+    on an explicit post-order stack: a split pushes a combine frame, with
+    one coefficient per part ((1, k) for a bundle split), under its parts,
+    and the frame adds each part's result times its coefficient once all
+    are on the value stack.
 
-    Different split orders reach the same stripped state, so a per-call
+    Different splits reach the same stripped state, so a per-call
     cache maps its frozen bundles (which, after stripping, also fix the
     vertex count) to tau.  A state is stored only the second time its
     hash is seen: a chain of states seen once, such as the shrinking
@@ -324,10 +344,9 @@ def tau_delcon(mg: Multigraph) -> int:
     stack: list[tuple] = [(mg.n, relabelled)]
     while stack:
         task = stack.pop()
-        if len(task) == 3:  # a combine frame: both halves of its split are on `values`
-            factor, k, key = task
-            contracted = values.pop()
-            tau = values.pop() + k * contracted
+        if len(task) == 3:  # a combine frame: every part of its split is on `values`
+            factor, coefficients, key = task
+            tau = sum(c * values.pop() for c in reversed(coefficients))
             if key is not None:
                 cache[key] = tau
             values.append(factor * tau)
@@ -378,15 +397,38 @@ def tau_delcon(mg: Multigraph) -> int:
         if hash(key) not in seen:
             seen.add(hash(key))
             key = None
-        a, b = min(edges)
-        k = edges.pop((a, b))
-        contracted = dict(edges)
-        for c, kc in adj[b].items():
-            if c != a:
-                del contracted[(b, c) if b < c else (c, b)]
-                e = (a, c) if a < c else (c, a)
-                contracted[e] = contracted.get(e, 0) + kc
-        stack.append((factor, k, key))
-        stack.append((vertices - 1, contracted))
-        stack.append((vertices, edges))  # deletion first: the smaller contraction waits
+        v = min(adj, key=lambda u: (len(adj[u]), u))
+        bundles = adj[v]
+        if len(bundles) <= 3:  # a vertex split, on which of v's bundles a tree uses
+            for u in bundles:
+                del edges[(v, u) if v < u else (u, v)]
+            groups = [s for size in range(2, len(bundles) + 1) for s in combinations(bundles, size)]
+            coefficients = (sum(bundles.values()), *(math.prod(map(bundles.get, s)) for s in groups))
+            parts = [(vertices - 1, edges)]
+            parts += [(vertices - len(s), _merged(edges, adj, s)) for s in groups]
+        else:  # a bundle split on the first bundle ab
+            a, b = min(edges)
+            coefficients = (1, edges.pop((a, b)))
+            parts = [(vertices, edges), (vertices - 1, _merged(edges, adj, (a, b)))]
+        stack.append((factor, coefficients, key))
+        stack.extend(reversed(parts))  # the first part first: the smaller ones wait
     return values.pop()
+
+
+def _merged(edges: dict, adj: dict, group) -> dict:
+    """A copy of `edges` with the vertices of `group` merged into its
+    smallest label a: a bundle inside the group is dropped, and a bundle
+    from another member to c outside it is added to the bundle ac.  `adj`
+    may list bundles that `edges` no longer has (the split bundle, the
+    split vertex's bundles); those are skipped."""
+    a = min(group)
+    merged = dict(edges)
+    for b in group:
+        if b == a:  # every bundle inside the group has an end other than a
+            continue
+        for c in adj[b]:
+            k = merged.pop((b, c) if b < c else (c, b), 0)
+            if k and c not in group:
+                e = (a, c) if a < c else (c, a)
+                merged[e] = merged.get(e, 0) + k
+    return merged

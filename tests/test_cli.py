@@ -219,6 +219,15 @@ def test_verify_random_refuses_a_family_or_a_file_input(capsys, tmp_path):
         assert "--random" in err
 
 
+def test_verify_refuses_a_seed_without_random(capsys):
+    """--seed seeds only the --random corpus, so a seed given with a family
+    or file input is an error (exit 2, one error line), not silently dropped."""
+    code, out, err = run(capsys, "verify", "--family", "complete:3", "--seed", "5")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.splitlines() == ["error: --seed seeds the --random corpus: give it only with --random"]
+
+
 def test_verify_random_n_is_capped_by_its_vertex_pairs(capsys, monkeypatch):
     """--random n=K is refused (exit 2) when its K(K-1)/2 candidate edges,
     each a coin drawn before any graph is built, exceed MAX_EDGES."""

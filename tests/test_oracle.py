@@ -434,3 +434,70 @@ def test_degeneracy_rank_takes_a_vertex_of_fewest_neighbours_left(graph):
     rank = _degeneracy_rank(n, pairs)
     assert rank[0] == 0 and sorted(rank[1:]) == list(range(1, n + 1))
     assert rank == degeneracy_rank_by_scan(n, pairs)
+
+
+@st.composite
+def split_vertex_multigraphs(draw):
+    """(n, bundles) on 4-8 vertices: a vertex v with exactly two or three
+    bundles, 1-3 copies each, and among the other vertices, v's neighbours
+    included, a cycle in random order plus random bundles of 1-2 copies,
+    so that most states keep six vertices after stripping and reach a
+    split.  Random bundles are dropped from the end until there are at most
+    20 labelled edges, which keeps the reference to C(20, 7) = 77520
+    subsets."""
+    n = draw(st.integers(4, 8))
+    v = draw(st.integers(1, n))
+    others = draw(st.permutations([u for u in range(1, n + 1) if u != v]))
+    nbrs = draw(st.lists(st.sampled_from(others), min_size=2, max_size=3, unique=True))
+    bundles = [(v, u, draw(st.integers(1, 3))) for u in nbrs]
+    bundles += [(u, w, 1) for u, w in zip(others, others[1:] + others[:1])]
+    pair = st.lists(st.sampled_from(others), min_size=2, max_size=2, unique=True)
+    rest = [(i, j, k) for (i, j), k in draw(st.lists(st.tuples(pair, st.integers(1, 2)), max_size=n))]
+    while rest and sum(k for _, _, k in bundles + rest) > 20:
+        rest.pop()
+    return n, bundles + rest
+
+
+@given(split_vertex_multigraphs())
+@settings(max_examples=150, deadline=None)
+def test_tau_delcon_splits_a_vertex_of_two_or_three_bundles(nb):
+    n, bundles = nb
+    edges = Counter()
+    for i, j, k in bundles:
+        edges[(i, j)] += k
+    assert tau_delcon(Multigraph(n, edges)) == tau_by_labelled_edges(n, bundles)
+
+
+def subdivided_k4():
+    """K4 with vertex 5 + i in the middle of its i-th edge."""
+    return [(e[side], 5 + i, 1) for i, e in enumerate(FOUR_VERTEX_PAIRS) for side in (0, 1)]
+
+
+# a weighted triangle 2-3-4 (x = 2, y = 1, z = 3 copies on 23, 34, 24)
+WEIGHTED_TRIANGLE = [(2, 3, 2), (3, 4, 1), (2, 4, 3)]
+SPLIT_CASES = {
+    "K4": (4, [(a, b, 1) for a, b in FOUR_VERTEX_PAIRS], 16),
+    # each of K4's 16 trees, and either half of each of the three edges it leaves out
+    "K4 with every edge subdivided": (10, subdivided_k4(), 16 * 2**3),
+    # vertex 1 with a, b, c = 1, 2, 3 copies to 2, 3, 4: the split's five parts,
+    # (a + b + c)(xy + yz + zx) + ab(y + z) + bc(x + z) + ac(x + y) + abc
+    "a three-bundle vertex on a weighted triangle": (
+        4, WEIGHTED_TRIANGLE + [(1, 2, 1), (1, 3, 2), (1, 4, 3)], 6 * 11 + 2 * 4 + 6 * 5 + 3 * 3 + 6
+    ),
+    "three three-bundle vertices on a weighted triangle": (
+        6,
+        WEIGHTED_TRIANGLE + [(1, 2, 1), (1, 3, 2), (1, 4, 3), (5, 2, 2), (5, 3, 1), (5, 4, 1),
+                             (6, 2, 1), (6, 3, 1), (6, 4, 2)],
+        3334,
+    ),
+}
+
+
+@pytest.mark.parametrize("n, bundles, tau", SPLIT_CASES.values(), ids=SPLIT_CASES)
+def test_tau_delcon_split_cases(n, bundles, tau):
+    """Six or more vertices that strip to nothing smaller reach a split: the
+    subdivided K4 splits at its two-bundle vertices, and the last case at
+    one of its three-bundle vertices."""
+    edges = Counter({(i, j): k for i, j, k in bundles})
+    assert tau_by_labelled_edges(n, bundles) == tau
+    assert tau_delcon(Multigraph(n, edges)) == tau

@@ -69,6 +69,12 @@ def _load_input(args, build: bool = True) -> tuple[Graph | None, families.Family
     raise CliInputError("an input is required: --family or --file")
 
 
+def _needs_graph(methods: list[str] | None) -> bool:
+    """Whether `methods` (None: every method) count from the built graph:
+    the formula needs none, since a family's size is in closed form too."""
+    return methods is None or any(m != "formula" for m in methods)
+
+
 def _formula(g: Graph | None, fam: families.Family | None) -> int:
     if fam is None:
         raise MethodUnavailableError("formula needs a --family input")
@@ -106,8 +112,7 @@ def _digits(value: int) -> str:
 
 
 def cmd_count(args) -> int:
-    # the formula needs no graph: a family's size is in closed form too
-    g, fam = _load_input(args, build=args.method != "formula")
+    g, fam = _load_input(args, build=_needs_graph([args.method]))
     [(_, value, elapsed_ms)] = _run_methods(g, fam, [args.method])
     n, edges = fam.size() if g is None else (g.n, len(g.edges))
     if args.json:
@@ -188,7 +193,7 @@ def cmd_verify(args) -> int:
         return _verify_random(args, methods)
     if args.seed is not None:
         raise CliInputError("--seed seeds the --random corpus: give it only with --random")
-    g, fam = _load_input(args)
+    g, fam = _load_input(args, build=_needs_graph(methods))
     rows = _run_methods(g, fam, methods)
     width = max(len(m) for m, _, _ in rows)
     print(f"{'method'.ljust(width)}  {'tau'.rjust(12)}  elapsed_ms")
@@ -260,9 +265,10 @@ def cmd_bench(args) -> int:
     methods = _parse_method_list(args.methods) if args.methods else ["temperley"]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["family", "size", "method", "tau", "elapsed_ms"])
+    build = _needs_graph(methods)
     for size in args.sizes:
         fam = families.parse_family(_substitute_size(args.family, size))
-        g = fam.graph()
+        g = fam.graph() if build else None
         rows = _run_methods(g, fam, methods)
         for method, value, ms in rows:
             writer.writerow([args.family, size, method, _digits(value), f"{ms:.3f}"])

@@ -22,13 +22,14 @@ the remaining edges, from the number of edges crossing each pair of the
 last five components.
 
 The recurrence splits at a vertex where it can, by the rooted-forest
-expansion (Chaiken 1982) that `_k5_trees` uses for its fifth part.  Take v,
-the vertex with the fewest bundles (the smallest label on ties), with k_u
-copies to each neighbour u.  Every spanning tree uses the bundles of some
-nonempty set S of v's neighbours: with one, it is a tree of G - v with v
-hung on it; with |S| >= 2, less v it is a forest of G - v with one tree per
-member of S, that is a spanning tree of (G - v)/S, S merged into its
-smallest label and the bundles inside S dropped.  So
+expansion (Chaiken 1982) that `_k5_trees` uses for its fifth part and
+`_k6_trees` for its sixth.  Take v, the vertex with the fewest bundles
+(the smallest label on ties), with k_u copies to each neighbour u.  Every
+spanning tree uses the bundles of some nonempty set S of v's neighbours:
+with one, it is a tree of G - v with v hung on it; with |S| >= 2, less v
+it is a forest of G - v with one tree per member of S, that is a spanning
+tree of (G - v)/S, S merged into its smallest label and the bundles inside
+S dropped.  So
 tau(G) = (sum of k_u) * tau(G - v)
          + the sum over S with |S| >= 2 of (product of k_u over S) * tau((G - v)/S):
 two parts when v has two bundles, five when it has three.
@@ -39,9 +40,10 @@ one, so tau(G) = tau(G - all k copies) + k * tau(G / ab).  Before each
 split it strips pendant vertices, found with a queue: a vertex whose only
 bundle has k copies is joined to the tree by one of them, a factor of k,
 and a vertex with no bundle left (other than the last one) leaves no
-spanning tree.  The recurrence ends at five vertices: a stripped state of
+spanning tree.  The recurrence ends at six vertices: a stripped state of
 three has a bundle between every two of its vertices, x, y and z copies,
-and xy + yz + zx spanning trees, or no bundle at all.  A bundle split
+and xy + yz + zx spanning trees, or no bundle at all; one of four or five
+is counted by `_k5_trees`, and one of six by `_k6_trees`.  A bundle split
 takes the bundle with the smallest labels.  Different splits reach the
 same stripped multigraph, so each call keeps a cache from stripped state
 to tau (Haggard, Pearce and Royle's deletion-contraction with a subgraph
@@ -51,17 +53,21 @@ limit.
 
 Both oracles end in one closed form, `_k5_trees`, on the pair counts of
 four or five parts: the subset scan's last components, joined by the edges
-ahead, and the recurrence's last vertices, joined by their bundles.  On
-four parts it is e3 of their six pair counts minus the four triangle
-products, the weighted count of the 16 spanning trees of K4.  Five parts
-are counted by the rooted-forest expansion (Chaiken's all-minors
-matrix-tree theorem, read as a count of forests): a spanning tree less one
-part v's edges is a forest of the other four with one tree per part that
-v is joined to, so tau is the sum over nonempty sets S of those four of
-the product of v's counts to S times the forests rooted at S, each of
-which is one of the two smaller closed forms, a count sum, or 1.  Like
-every closed form here it is exact on any counts, so it is 0 when the
-parts are not connected.
+ahead, and the recurrence's states of four or five vertices, joined by
+their bundles.  On four parts it is e3 of their six pair counts minus the
+four triangle products, the weighted count of the 16 spanning trees of K4.
+Five parts are counted by the rooted-forest expansion (Chaiken's
+all-minors matrix-tree theorem, read as a count of forests): a spanning
+tree less one part v's edges is a forest of the other four with one tree
+per part that v is joined to, so tau is the sum over nonempty sets S of
+those four of the product of v's counts to S times the forests rooted at
+S, each of which is one of the two smaller closed forms, a count sum, or
+1.  The recurrence goes one vertex further: `_k6_trees` counts a state of
+six vertices by the same expansion at its vertex of fewest bundles, over
+`_k5_trees` of the other five and of them with S merged.  The subset scan
+still ends at five components: a sixth there was slower, since it counts
+crossing edges that the scan's pruning skips.  Like every closed form here
+each is exact on any counts, so it is 0 when the parts are not connected.
 """
 
 from __future__ import annotations
@@ -186,19 +192,20 @@ def _last_levels(edges: list[tuple[int, int]], idx: int, parent: list[int], left
     one component names a single bit, which no pair uses.  With two
     components every crossing edge completes a tree; with three, xy + yz +
     zx for x, y, z crossing edges per pair; with four or five, `_k5_trees`
-    of the crossing edges per pair."""
+    of the crossing edges per pair.  Every vertex takes its root's bit,
+    found once, so an edge's pair costs two list reads."""
     bit = [0] * len(parent)
     next_bit = 1
     for v in range(1, len(parent)):
-        if parent[v] == v:
-            bit[v] = next_bit
+        root = v
+        while parent[root] != root:
+            root = parent[root]
+        if not bit[root]:
+            bit[root] = next_bit
             next_bit <<= 1
+        bit[v] = bit[root]
     counts = [0] * 32  # by the or of two root bits
     for a, b in edges[idx:]:
-        while parent[a] != a:
-            a = parent[a]
-        while parent[b] != b:
-            b = parent[b]
         counts[bit[a] | bit[b]] += 1
     if left == 1:
         return counts[3]
@@ -218,7 +225,7 @@ def _k5_trees(ab: int, ac: int, ad: int, bc: int, bd: int, cd: int, v=None) -> i
     sets S of a, b, c, d of the product of v's counts to S times the
     forests of the four rooted at S, which for |S| = 1 is the four-part
     count, for 2 the three-part count with both of S merged, for 3 the
-    fourth's counts to S, and for 4 one."""
+    fourth's counts to S, and for 4 one, each written out as pair terms."""
     e1 = e2 = e3 = 0
     for k in (ab, ac, ad, bc, bd, cd):
         e3 += e2 * k
@@ -229,16 +236,63 @@ def _k5_trees(ab: int, ac: int, ad: int, bc: int, bd: int, cd: int, v=None) -> i
         return tau
     va, vb, vc, vd = v
     tau *= va + vb + vc + vd
-    for s, t, x, y, z in (
-        (va, vb, ac + bc, ad + bd, cd), (va, vc, ab + bc, ad + cd, bd),
-        (va, vd, ab + bd, ac + cd, bc), (vb, vc, ab + ac, bd + cd, ad),
-        (vb, vd, ab + ad, bc + cd, ac), (vc, vd, ac + ad, bc + bd, ab),
-    ):
-        if s and t:  # two trees: a, b, c, d with s's and t's ends merged
-            tau += s * t * (x * y + y * z + z * x)
+    # two trees, v joined to s and t: the three-part count with s and t merged
+    x, y = ac + bc, ad + bd
+    tau += va * vb * (x * y + (x + y) * cd)
+    x, y = ab + bc, ad + cd
+    tau += va * vc * (x * y + (x + y) * bd)
+    x, y = ab + bd, ac + cd
+    tau += va * vd * (x * y + (x + y) * bc)
+    x, y = ab + ac, bd + cd
+    tau += vb * vc * (x * y + (x + y) * ad)
+    x, y = ab + ad, bc + cd
+    tau += vb * vd * (x * y + (x + y) * ac)
+    x, y = ac + ad, bc + bd
+    tau += vc * vd * (x * y + (x + y) * ab)
     # three trees: the fourth part hangs on one of them; four: one forest
     tau += va * vb * vc * (ad + bd + cd + vd) + va * vb * vd * (ac + bc + cd)
     return tau + va * vc * vd * (ab + bc + bd) + vb * vc * vd * (ab + ac + ad)
+
+
+# _PAIRS[d], for the first d of five parts: (group, then the other parts) for
+# each group of two of them; _TRIPLES[d] and _QUADS[d] for groups of three, four
+_PAIRS, _TRIPLES, _QUADS = (
+    [[(*group, *(i for i in range(5) if i not in group)) for group in combinations(range(d), size)]
+     for d in range(6)]
+    for size in (2, 3, 4)
+)
+
+
+def _k6_trees(adj: dict) -> int:
+    """The spanning trees of six vertices joined by the bundles of `adj`,
+    {vertex: {neighbour: copies}}, by the rooted-forest expansion at v, the
+    vertex with the fewest bundles (the smallest label on ties), with k_u
+    copies to each neighbour u: (sum of k_u) times the five-part count of
+    the other five, plus, for each set S of two or more of v's neighbours,
+    (product of k_u over S) times the trees of the other five with S
+    merged.  Those have four parts for |S| = 2, counted by the four-part
+    form on summed counts, three for |S| = 3 (xy + yz + zx), two for |S| =
+    4 (their crossing count) and one for |S| = 5 (1).  Exact on any
+    bundles, so 0 when the six are not connected."""
+    v = min(adj, key=lambda u: (len(adj[u]), u))
+    split = adj[v]
+    others = [*split, *(u for u in adj if u != v and u not in split)]  # v's neighbours first
+    m = [[adj[w].get(u, 0) for u in others] for w in others]
+    k = [*split.values()]
+    d = len(k)
+    (_, ab, ac, ad, ae), (_, _, bc, bd, be), (*_, cd, ce), (*_, de) = m[:4]
+    tau = sum(k) * _k5_trees(ab, ac, ad, bc, bd, cd, (ae, be, ce, de))
+    for i, j, p, q, r in _PAIRS[d]:  # S of two: four parts
+        mi, mj, mp, mq = m[i], m[j], m[p], m[q]
+        tau += k[i] * k[j] * _k5_trees(mi[p] + mj[p], mi[q] + mj[q], mi[r] + mj[r],
+                                       mp[q], mp[r], mq[r])
+    for i, j, h, p, q in _TRIPLES[d]:  # S of three: three parts, xy + yz + zx
+        mi, mj, mh = m[i], m[j], m[h]
+        x, y, z = mi[p] + mj[p] + mh[p], mi[q] + mj[q] + mh[q], m[p][q]
+        tau += k[i] * k[j] * k[h] * (x * y + (x + y) * z)
+    for i, j, h, g, p in _QUADS[d]:  # S of four: two parts, joined by their crossing count
+        tau += k[i] * k[j] * k[h] * k[g] * (m[i][p] + m[j][p] + m[h][p] + m[g][p])
+    return tau + (math.prod(k) if d == 5 else 0)  # S of five: one part
 
 
 def _degeneracy_rank(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
@@ -312,20 +366,21 @@ def tau_delcon(mg: Multigraph) -> int:
     The vertices are first relabelled by `_degeneracy_rank`.  A state is
     (vertex count, bundles {(a, b): k}).  Each state first loses its
     pendant vertices (a factor of k each); one vertex left counts 1, three
-    count xy + yz + zx for the x, y, z copies between them (0 when they are
-    stranded trees, with no bundle left), four and five count `_k5_trees`
-    of their bundles (0 when the vertices are not connected), and a
-    disconnected state counts 0.  Otherwise it splits (see the module
-    docstring).  At v, the vertex with the fewest bundles and the smallest
-    label on ties, when v has two or three: tau = (sum of k_u) * tau(G - v)
-    + the sum over sets S of two or more of v's neighbours of (product of
-    k_u over S) * tau((G - v)/S), for k_u copies from v to u.  Else at its
-    first bundle in sorted order, ab with k copies: tau = tau(G - ab) + k *
-    tau(G / ab).  `_merged` builds every contraction.  The recurrence runs
-    on an explicit post-order stack: a split pushes a combine frame, with
-    one coefficient per part ((1, k) for a bundle split), under its parts,
-    and the frame adds each part's result times its coefficient once all
-    are on the value stack.
+    count xy + yz + zx for the x, y, z copies between them (0 when they
+    are stranded trees, with no bundle left), four and five count
+    `_k5_trees` of their bundles and six count `_k6_trees` (0 when the
+    vertices are not connected), with no cache entry, so the recurrence
+    ends at six vertices; a larger disconnected state counts 0.  Otherwise
+    it splits (see the module docstring).  At v, the vertex with the
+    fewest bundles and the smallest label on ties, when v has two or
+    three: tau = (sum of k_u) * tau(G - v) + the sum over sets S of two or
+    more of v's neighbours of (product of k_u over S) * tau((G - v)/S), for
+    k_u copies from v to u.  Else at its first bundle in sorted order, ab
+    with k copies: tau = tau(G - ab) + k * tau(G / ab).  `_merged` builds
+    every contraction.  The recurrence runs on an explicit post-order
+    stack: a split pushes a combine frame, with one coefficient per part
+    ((1, k) for a bundle split), under its parts, and the frame adds each
+    part's result times its coefficient once all are on the value stack.
 
     Different splits reach the same stripped state, so a per-call
     cache maps its frozen bundles (which, after stripping, also fix the
@@ -385,6 +440,9 @@ def tau_delcon(mg: Multigraph) -> int:
             tau = _k5_trees(adj[a].get(b, 0), adj[a].get(c, 0), adj[a].get(d, 0),
                             adj[b].get(c, 0), adj[b].get(d, 0), adj[c].get(d, 0), v)
             values.append(factor * tau)
+            continue
+        if vertices == 6:
+            values.append(factor * _k6_trees(adj))
             continue
         key = frozenset(edges.items())
         tau = cache.get(key)

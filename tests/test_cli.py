@@ -1,4 +1,5 @@
 import argparse
+import decimal
 import json
 import os
 import re
@@ -382,6 +383,26 @@ def test_count_formula_builds_no_graph(capsys, monkeypatch, spec):
     assert code == EXIT_OK
     report, expected = json.loads(out), json.loads(built[1][1])
     assert [report[k] for k in ("tau", "n", "edges")] == [expected[k] for k in ("tau", "n", "edges")]
+
+
+def test_bench_and_verify_formula_build_no_graph(capsys, monkeypatch):
+    """`bench --methods formula` and `verify --methods formula` count
+    complete graphs whose edge count is above graph.MAX_EDGES, as `count
+    --method formula` does, and never construct a Graph."""
+
+    def fail(*args):
+        raise AssertionError("--methods formula built a Graph")
+
+    monkeypatch.setattr(Graph, "__init__", fail)
+    expected = [str(decimal.Decimal(n ** (n - 2))) for n in (1999, 2000, 2001)]
+    code, out, _ = run(capsys, "bench", "--family", "complete", "--sizes", "1999..2001", "--methods", "formula")
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [(r[1], r[2]) for r in rows] == [("1999", "formula"), ("2000", "formula"), ("2001", "formula")]
+    assert [r[3] for r in rows] == expected
+    code, out, _ = run(capsys, "verify", "--family", "complete:2000", "--methods", "formula")
+    assert code == EXIT_OK
+    assert out.strip().splitlines()[-1] == f"all methods agree: tau = {expected[1]}"
 
 
 def test_exit_code_method_unavailable(capsys):

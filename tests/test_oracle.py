@@ -185,6 +185,28 @@ def test_oracles_agree_with_reduced_on_joined_trees_and_cycles(g):
     assert tau_subsets(g) == tau_delcon(Multigraph.from_graph(g)) == tau_reduced(g, 1, 1)
 
 
+SIX_VERTEX_CASES = {
+    # v has five bundles, so 26 groups S
+    "K6": (list(combinations(range(1, 7), 2)), 1296),
+    "K3,3": ([(i, j) for i in (1, 2, 3) for j in (4, 5, 6)], 81),
+    "the octahedron K2,2,2": ([e for e in combinations(range(1, 7), 2) if e not in {(1, 2), (3, 4), (5, 6)}], 384),
+    "the prism C3 x K2": ([(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (1, 4), (2, 5), (3, 6)], 75),
+    "the wheel W5": ([(6, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)], 121),
+    "C6": ([(i, i % 6 + 1) for i in range(1, 7)], 6),
+    "two triangles joined by one edge": ([(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (3, 4)], 9),
+}
+
+
+@pytest.mark.parametrize("edges, tau", SIX_VERTEX_CASES.values(), ids=SIX_VERTEX_CASES)
+def test_oracles_count_six_vertex_graphs(edges, tau):
+    """Six vertices that strip to nothing smaller end in the six-vertex
+    closed form at once (C6 strips no vertex and has two bundles at each)."""
+    g = build_graph(6, edges)
+    assert tau_by_literal_enumeration(g) == tau
+    assert tau_delcon(Multigraph.from_graph(g)) == tau
+    assert tau_subsets(g) == tau
+
+
 def test_tau_delcon_complete_graph_k9():
     assert tau_delcon(Multigraph.from_graph(gen_complete(9))) == 9**7
 
@@ -438,22 +460,26 @@ def test_degeneracy_rank_takes_a_vertex_of_fewest_neighbours_left(graph):
 
 @st.composite
 def split_vertex_multigraphs(draw):
-    """(n, bundles) on 4-8 vertices: a vertex v with exactly two or three
+    """(n, bundles) on 7-9 vertices: a vertex v with exactly two or three
     bundles, 1-3 copies each, and among the other vertices, v's neighbours
-    included, a cycle in random order plus random bundles of 1-2 copies,
-    so that most states keep six vertices after stripping and reach a
-    split.  Random bundles are dropped from the end until there are at most
-    20 labelled edges, which keeps the reference to C(20, 7) = 77520
-    subsets."""
-    n = draw(st.integers(4, 8))
+    included, a cycle in random order, its chords between opposite
+    vertices and random bundles of 1-2 copies, so that most states keep
+    seven vertices or more after stripping and reach a split, at a vertex
+    of three bundles as well as of two, rather than the six-vertex closed
+    form.  Bundles past the cycle are dropped from the end until there are
+    at most 18 labelled edges, which keeps the reference to C(18, 8) =
+    43758 subsets."""
+    n = draw(st.integers(7, 9))
     v = draw(st.integers(1, n))
     others = draw(st.permutations([u for u in range(1, n + 1) if u != v]))
     nbrs = draw(st.lists(st.sampled_from(others), min_size=2, max_size=3, unique=True))
     bundles = [(v, u, draw(st.integers(1, 3))) for u in nbrs]
     bundles += [(u, w, 1) for u, w in zip(others, others[1:] + others[:1])]
+    half = len(others) // 2
+    rest = [(u, w, 1) for u, w in zip(others[:half], others[half:])]
     pair = st.lists(st.sampled_from(others), min_size=2, max_size=2, unique=True)
-    rest = [(i, j, k) for (i, j), k in draw(st.lists(st.tuples(pair, st.integers(1, 2)), max_size=n))]
-    while rest and sum(k for _, _, k in bundles + rest) > 20:
+    rest += [(i, j, k) for (i, j), k in draw(st.lists(st.tuples(pair, st.integers(1, 2)), max_size=n))]
+    while rest and sum(k for _, _, k in bundles + rest) > 18:
         rest.pop()
     return n, bundles + rest
 
@@ -484,20 +510,31 @@ SPLIT_CASES = {
     "a three-bundle vertex on a weighted triangle": (
         4, WEIGHTED_TRIANGLE + [(1, 2, 1), (1, 3, 2), (1, 4, 3)], 6 * 11 + 2 * 4 + 6 * 5 + 3 * 3 + 6
     ),
+    # six vertices: the six-vertex closed form, at one of the three-bundle vertices
     "three three-bundle vertices on a weighted triangle": (
         6,
         WEIGHTED_TRIANGLE + [(1, 2, 1), (1, 3, 2), (1, 4, 3), (5, 2, 2), (5, 3, 1), (5, 4, 1),
                              (6, 2, 1), (6, 3, 1), (6, 4, 2)],
         3334,
     ),
+    "four three-bundle vertices on a weighted triangle": (
+        7,
+        WEIGHTED_TRIANGLE + [(1, 2, 1), (1, 3, 2), (1, 4, 3), (5, 2, 2), (5, 3, 1), (5, 4, 1),
+                             (6, 2, 1), (6, 3, 1), (6, 4, 2), (7, 2, 1), (7, 3, 3), (7, 4, 1)],
+        21790,
+    ),
+    # a rim vertex splits into the six-vertex fan left without it and its merges
+    "the wheel W6": (7, [(7, i, 1) for i in range(1, 7)] + [(i, i % 6 + 1, 1) for i in range(1, 7)], 320),
 }
 
 
 @pytest.mark.parametrize("n, bundles, tau", SPLIT_CASES.values(), ids=SPLIT_CASES)
 def test_tau_delcon_split_cases(n, bundles, tau):
-    """Six or more vertices that strip to nothing smaller reach a split: the
-    subdivided K4 splits at its two-bundle vertices, and the last case at
-    one of its three-bundle vertices."""
+    """Four to six vertices end in a closed form; seven or more that strip
+    to nothing smaller reach a split: the subdivided K4 splits at its
+    two-bundle vertices, and the last two cases at one of their
+    three-bundle vertices, into parts of six and five vertices that end in
+    closed forms."""
     edges = Counter({(i, j): k for i, j, k in bundles})
     assert tau_by_labelled_edges(n, bundles) == tau
     assert tau_delcon(Multigraph(n, edges)) == tau

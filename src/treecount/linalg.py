@@ -27,6 +27,13 @@ Integer determinants (`det_int`) have three exact kernels:
   order keeps the fill of sparse graphs small.  When a diagonal residue is
   0, the block left goes to the Markowitz kernel; the Schur-complement
   identity det = prod(pivots) * det(block left) is exact over GF(P).
+  Once the block left is nearly dense (the row minimum degree pops holds
+  at least 7/10 of the rows left, so every row does, and more than 8 rows
+  are left), it is copied into dense lists and finished by a dense tail
+  (`_dense_tail`): left-looking LDL^T over the same GF(P), each factor
+  entry one dot product in C reduced once.  A zero pivot there hands the
+  Schur complement on the rows not yet factored to the Markowitz kernel,
+  so the tail of a singular Laplacian with its border ends in a 2 x 2.
 
 `det_int` picks the kernel from the order and nonzero count of the matrix
 it receives, and from nothing else: a modular one for order at least
@@ -110,6 +117,15 @@ PRIMES = (
 #   minors without row 1 and column 2      0.61-0.85  0.29-0.42  0.18-0.29
 SPARSE_MIN_ORDER = 30
 SPARSE_MAX_PER_ROW = 11
+# _det_symmetric's dense tail starts when the row minimum degree pops has at
+# least DENSE_TAIL_TENTHS / 10 of the rows left as entries and more than
+# DENSE_TAIL_MIN_ROWS rows are left.  Kernel time against no tail, summed
+# over the minors and Temperley borders of 30 graphs of the `sparse`
+# benchmark (best of 7 interleaved, Python 3.11, 2 vCPUs): 0.93 from 5/10,
+# 0.91-0.92 from 6/10 to 9/10; at 7/10, 0.91-0.92 above 4, 8 or 16 rows
+# and 0.93 above 30.  G(n, 3n) took 0.88, grids 0.98; cycles never switch.
+DENSE_TAIL_TENTHS = 7
+DENSE_TAIL_MIN_ROWS = 8
 
 
 class LinalgError(ValueError):
@@ -328,24 +344,40 @@ def _det_symmetric(rows: list[dict[int, int]], p: int) -> int:
     left).  When a diagonal residue is 0, as on a singular Laplacian, the
     block left (in which that diagonal is 0) goes to `_det_modular`, which
     reduces its entries when it starts.
+
+    The popped row has the fewest entries, so once it holds at least
+    DENSE_TAIL_TENTHS / 10 of the rows left, every row left does.  Then,
+    with more than DENSE_TAIL_MIN_ROWS rows left, the block left goes to
+    `_dense_tail` instead, its rows ordered by their entry count and then
+    by index, whatever the popped diagonal is: pair updates on dicts cost
+    about twenty bytecodes each, where the tail's dot products run in C.
+    A zero pivot in the tail, such as L's last vertex in the Temperley
+    border [[L, 1], [1^T, -1]] of a connected graph, hands `_det_modular`
+    the Schur complement on the rows left: there, the 2 x 2 of that vertex
+    and the border.
     """
     rows = [{j: r for j, x in row.items() if (r := x % p)} for row in rows]
     heap = [(len(row), i) for i, row in enumerate(rows)]
     heapify(heap)
     done = [False] * len(rows)
+    left = len(rows)
     det = 1
     while heap:
         size, r = heappop(heap)
         row = rows[r]
         if done[r] or size != len(row):
             continue  # stale heap entry
-        pivot = row.pop(r, 0) % p
-        if not pivot:
+        dense = left > DENSE_TAIL_MIN_ROWS and 10 * size >= DENSE_TAIL_TENTHS * left
+        pivot = row.get(r, 0) % p
+        if dense or not pivot:
             rest = [i for i, finished in enumerate(done) if not finished]
+            rest.sort(key=lambda i: len(rows[i]))  # stable: ties stay in index order
             index = {i: new for new, i in enumerate(rest)}
             block = [{index[j]: x for j, x in rows[i].items()} for i in rest]
-            return _centered(det * _det_modular(block, p), p)
+            return _centered(det * (_dense_tail if dense else _det_modular)(block, p), p)
+        del row[r]
         done[r] = True
+        left -= 1
         det = det * pivot % p
         sizes = [len(rows[a]) for a in row]
         for a in row:
@@ -364,6 +396,48 @@ def _det_symmetric(rows: list[dict[int, int]], p: int) -> int:
                 heappush(heap, (len(rows[a]), a))
         row.clear()  # never read again: frees the entries of eliminated rows
     return _centered(det, p)
+
+
+def _dense_tail(block: list[dict[int, int]], p: int) -> int:
+    """det(A) mod p for a symmetric A given as `_det_modular` takes it, by
+    left-looking LDL^T elimination over GF(p) on dense rows, in row order.
+
+    A = L D L^T with L unit lower triangular.  Row j of U = L D is found
+    when its pivot is reached, from the rows of L before it: u_jt = a_jt -
+    sum_s u_js l_ts for t < j, each one dot product over the columns s < t
+    reduced once; then l_jt = u_jt / d_t, with the inverse of each pivot
+    taken once, and d_j = a_jj - sum_t u_jt l_jt.  A zero d_j finishes the
+    rows j.. up to column j the same way, and their Schur complement a_ab -
+    sum_t u_at l_bt goes to `_det_modular`: det(A) = d_0 ... d_(j-1) *
+    det(Schur complement) mod p.
+    """
+    a = _dense_rows(block, len(block))
+    lows: list[list[int]] = []  # the rows of L done, left of the diagonal
+    inverses: list[int] = []  # 1 / d_t
+
+    def factor(row: list[int]) -> tuple[list[int], list[int]]:
+        """A row's u_t and l_t for the columns t done."""
+        u: list[int] = []
+        append = u.append
+        for x, low in zip(row, lows):
+            append((x - sum(map(mul, u, low))) % p)
+        return u, [x * inv % p for x, inv in zip(u, inverses)]
+
+    det = 1
+    for j, row in enumerate(a):
+        u, low = factor(row)
+        pivot = (row[j] - sum(map(mul, u, low))) % p
+        if not pivot:
+            rest = [factor(row_a) for row_a in a[j:]]
+            schur = []
+            for row_a, (u_a, _) in zip(a[j:], rest):
+                entries = [(y - sum(map(mul, u_a, l_b))) % p for y, (_, l_b) in zip(row_a[j:], rest)]
+                schur.append({b: x for b, x in enumerate(entries) if x})
+            return det * _det_modular(schur, p)
+        det = det * pivot % p
+        inverses.append(pow(pivot, -1, p))
+        lows.append(low)
+    return det
 
 
 def _det_bareiss(m: Sequence[Sequence[int]]) -> int:

@@ -651,6 +651,109 @@ def test_zero_diagonal_hand_off(monkeypatch):
     assert calls == [("_det_symmetric", 151), ("_det_modular", 2)]
 
 
+def test_dense_tail_switch(monkeypatch):
+    """Minimum degree fills a G(120, 360) minor and its Temperley border to
+    a block at least 7/10 full, where the dense tail takes over; on the
+    border, L's zero pivot hands the tail's last 2 x 2 to _det_modular.  A
+    cycle never fills, so its minor stays in the sparse loop."""
+    calls = block_orders(monkeypatch)
+    real = linalg._dense_tail
+
+    def tail(block, p):
+        calls.append(("_dense_tail", len(block)))
+        return real(block, p)
+
+    monkeypatch.setattr(linalg, "_dense_tail", tail)
+    rng = random.Random(1)
+    pairs = [(i, j) for i in range(1, 121) for j in range(i + 1, 121)]
+    g = Graph(120, rng.sample(pairs, 360))
+    assert g.is_connected()
+    minor = minor_matrix(g.laplacian_rows(), 1, 1)
+    p = prime_above(2 * _hadamard_bound(minor))
+    tau = _det_modular(minor, p)  # the Markowitz kernel alone
+    calls.clear()
+    assert det_int(minor) == tau
+    (first, _), (second, order) = calls
+    assert (first, second) == ("_det_symmetric", "_dense_tail") and order > linalg.DENSE_TAIL_MIN_ROWS
+    calls.clear()
+    ones = [1] * 120
+    assert det_perturbed(g.laplacian_rows(), ones, ones) == 120**2 * tau
+    (first, _), (second, order), third = calls
+    assert (first, second, third) == ("_det_symmetric", "_dense_tail", ("_det_modular", 2))
+    assert order > linalg.DENSE_TAIL_MIN_ROWS
+    calls.clear()
+    cycle = Graph(150, [(i, i % 150 + 1) for i in range(1, 151)])
+    assert det_int(minor_matrix(cycle.laplacian_rows(), 1, 1)) == 150
+    assert calls == [("_det_symmetric", 149)]
+
+
+def coprime_entry(rng):
+    """A nonzero integer with no factor in SMALL_PRIMES, so it stays an
+    entry modulo each of them."""
+    while True:
+        x = rng.randint(-(10**6), 10**6)
+        if all(x % q for q in SMALL_PRIMES):
+            return x
+
+
+@st.composite
+def tail_matrices(draw):
+    """(kind, M): symmetric integer M of order 9-40 in which every row but
+    a zero one has at least 7/10 of n entries that are nonzero modulo every
+    prime in SMALL_PRIMES, so _det_symmetric starts its dense tail on the
+    whole matrix.  Entries are zero only off the diagonal where i + j = 10
+    mod 11, at most n // 11 + 1 in a row.  Kinds: "full"; "repeated row",
+    row and column b copies of a (singular); "zero row", row and column 0
+    zero (singular; the sparse loop hands it to _det_modular before any
+    tail); "laplacian", the Laplacian of a graph (singular, so some tail
+    pivot is 0); "zero block", [[0, B], [B^T, C]] with a zero a x a corner,
+    a <= 3n/10, and B and C without zeros, so the corner's rows are the
+    shortest, the tail's first pivot is 0 and the whole block goes to
+    _det_modular."""
+    n = draw(st.integers(9, 40))
+    kind = draw(st.sampled_from(["full", "repeated row", "zero row", "laplacian", "zero block"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i == j or (i + j) % 11 != 10:
+                m[i][j] = m[j][i] = coprime_entry(rng)
+    if kind == "repeated row":
+        a, b = rng.sample(range(n), 2)
+        m[b] = list(m[a])
+        for row in m:
+            row[b] = row[a]
+    elif kind == "zero row":
+        m[0] = [0] * n
+        for row in m:
+            row[0] = 0
+    elif kind == "laplacian":
+        for i, row in enumerate(m):
+            row[:] = [-1 if x and j != i else 0 for j, x in enumerate(row)]
+            row[i] = -sum(row)
+    elif kind == "zero block":
+        a = rng.randint(1, 3 * n // 10)
+        m = [[0 if i < a and j < a else coprime_entry(rng) for j in range(n)] for i in range(n)]
+        m = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    return kind, m
+
+
+@given(tail_matrices(), st.sampled_from(SMALL_PRIMES + [2**64 - 59]))
+@settings(max_examples=120, deadline=None)
+def test_dense_tail_residue_on_every_path(km, p):
+    """det_mod through the dense tail: tiny primes make pivots 0 mod p in
+    its middle too, and each zero pivot hands a Schur complement on."""
+    kind, m = km
+    with mock.patch.object(linalg, "_dense_tail", wraps=linalg._dense_tail) as tail:
+        residue = det_mod(m, p)
+    assert (residue - _det_bareiss(m)) % p == 0
+    assert abs(residue) <= p // 2
+    if kind == "zero row":
+        assert tail.call_count == 0
+    else:
+        assert tail.call_count == 1 and len(tail.call_args.args[0]) == len(m)
+
+
 def test_det_int_dict_rows_match_list_rows(monkeypatch):
     """det_int gives the same value, through the same kernel, on dict rows
     as on row lists: every kernel, the Bareiss fallback above the largest

@@ -35,10 +35,13 @@ Integer determinants (`det_int`) have three exact kernels:
   Schur complement on the rows not yet factored to the Markowitz kernel,
   so the tail of a singular Laplacian with its border ends in a 2 x 2.
 
-`det_int` picks the kernel from the order and nonzero count of the matrix
-it receives, and from nothing else: a modular one for order at least
-SPARSE_MIN_ORDER and at most SPARSE_MAX_PER_ROW nonzeros per row on
-average, when 2H fits under the largest tabled prime; Bareiss otherwise.
+`det_int` picks the kernel from the order of the matrix it receives, and
+from nothing else: a modular one for order at least SPARSE_MIN_ORDER, when
+2H fits under the largest tabled prime; Bareiss otherwise.  The nonzero
+count does not enter: with its dense tail, the symmetric kernel beats
+Bareiss at every density from order 30 up, and the Markowitz kernel beats
+it on sparse and mid-density matrices, losing 1.3-1.5x only on dense
+non-symmetric ones such as L + 1 e_1^T of a nearly complete graph.
 `det_mod` gives det mod a caller's prime through the same two modular
 kernels, the symmetric one when the matrix is symmetric, for callers that
 bound the value they recover themselves (the bipartite reduction in
@@ -48,15 +51,17 @@ A rank-one update has a second matrix with the same determinant up to
 sign.  The bordered matrix B = [[M, u], [v^T, -1]] of order n + 1 has the
 Schur complement M + u v^T on its trailing -1, so det B = -det(M + u v^T)
 (the matrix determinant lemma), and B is symmetric exactly when M is and
-u == v.  `det_perturbed` hands `det_int` B, as M's rows with a column n
-added and one last row, whenever the shape rule sends B, with its
-nnz(M) + nnz(u) + nnz(v) + 1 nonzeros, to a modular kernel, and the dense
-M + u v^T otherwise: L + J of a sparse graph, zero only at its 2m edge
-entries, then takes the symmetric kernel on L plus one dense row and
+u == v.  `det_perturbed` hands `det_int` the sparser of the two, judged
+from the nonzero counts of M, u and v alone: B has nnz(M) + nnz(u) +
+nnz(v) + 1, and M + u v^T at least nnz(u) nnz(v) - nnz(M), since each
+entry of M cancels at most one entry of u v^T.  B is used when it has
+fewer nonzeros than that, M + u v^T otherwise, built in dict rows in
+O(nnz(M) + nnz(u) nnz(v)).  So L + J of a sparse graph, zero only at its
+2m edge entries, takes the symmetric kernel on L plus one dense row and
 column (L is singular, so elimination reaches a zero diagonal and hands
 the block left to the Markowitz kernel: for a connected graph, only the
 last 2 x 2), while L + J = nI - L(complement) of a dense graph stays
-unbordered.
+unbordered.  Near density 1/2 the two are about the same size.
 
 `det_rat`, the determinant of a rational matrix, scales each row to
 integers by the lcm of its denominators and calls `det_int`.
@@ -108,15 +113,11 @@ PRIMES = (
     (9689, 1), (9941, 1), (11213, 1), (19937, 1), (21701, 1), (23209, 1),
     (44497, 1),
 )
-# det_int's kernel choice.  Below order 30 the modular kernel lost to
-# Bareiss from 7 nonzeros per row.  Modular time / Bareiss time in the 9-12
-# per row band at orders 30, 60 and 120 (best of 3, Python 3.11, 2 vCPUs):
-#   random non-symmetric, 10-12 per row    0.47-0.97  0.27-0.55  0.36-0.50
-#   rankone borders, average degree 8-10   0.48-0.93  0.23-0.37  0.19-0.28
-#   Temperley borders                      0.42-0.54  0.16-0.26  0.12-0.18
-#   minors without row 1 and column 2      0.61-0.85  0.29-0.42  0.18-0.29
+# det_int's kernel choice: below this order Bareiss runs.  The symmetric
+# kernel on Laplacian minors was 1.1-3.7x slower than Bareiss at orders 4-8
+# and 0.42-1.60x its time at orders 11-24; from order 29 up it won at every
+# density (best of 3, Python 3.11, 2 vCPUs).
 SPARSE_MIN_ORDER = 30
-SPARSE_MAX_PER_ROW = 11
 # _det_symmetric's dense tail starts when the row minimum degree pops has at
 # least DENSE_TAIL_TENTHS / 10 of the rows left as entries and more than
 # DENSE_TAIL_MIN_ROWS rows are left.  Kernel time against no tail, summed
@@ -159,12 +160,15 @@ def det_int(m: IntRows) -> int:
     as sparse rows {0-based column: entry}; an entry that is not an int
     raises LinalgError.
 
-    Large sparse matrices go to a modular kernel, the symmetric one when
-    m is symmetric, and all others to Bareiss elimination (see the module
-    docstring).  The 0x0 matrix has determinant 1 (empty product).
+    A matrix of order at least SPARSE_MIN_ORDER goes to a modular kernel,
+    the symmetric one when m is symmetric, whenever twice its Hadamard
+    bound is below the largest tabled prime; all others go to Bareiss
+    elimination (see the module docstring).  The 0x0 matrix has
+    determinant 1 (empty product).
     """
     n = _order(m)
-    if _is_sparse(n, _nonzeros(m)):
+    _nonzeros(m)  # checks the entries
+    if n >= SPARSE_MIN_ORDER:
         rows = _sparse_rows(m)
         p = prime_above(2 * _hadamard_bound(rows))
         if p is not None:
@@ -192,13 +196,6 @@ def _det_mod_rows(rows: list[dict[int, int]], p: int) -> int:
     if all(rows[j].get(i, 0) == x for i, row in enumerate(rows) for j, x in row.items()):
         return _det_symmetric(rows, p)
     return _det_modular(rows, p)
-
-
-def _is_sparse(order: int, nonzeros: int) -> bool:
-    """det_int's shape rule: whether a matrix of this order with this many
-    nonzero entries goes to a modular kernel (when its Hadamard bound fits
-    under the largest tabled prime)."""
-    return order >= SPARSE_MIN_ORDER and nonzeros <= SPARSE_MAX_PER_ROW * order
 
 
 def _nonzeros(m: IntRows) -> int:
@@ -506,11 +503,19 @@ def minor_matrix(m: Sequence[Sequence | dict], row: int, col: int) -> list:
 
 def add_outer_product(m: IntRows, u: Sequence[int], v: Sequence[int]) -> IntMatrix:
     """Entrywise M + u v^T, as row lists, for an n x n matrix in either row
-    form and length-n vectors."""
+    form and length-n vectors: the dense form of `_outer_sum`."""
     n = _order(m)
     if len(u) != n or len(v) != n:
         raise DimensionMismatchError(f"vector lengths {len(u)}, {len(v)} do not match n={n}")
-    return [[x + ui * vj for x, vj in zip(row, v)] for row, ui in zip(_dense_rows(m, n), u)]
+    return _dense_rows(_outer_sum(_sparse_rows(m), u, v), n)
+
+
+def _outer_sum(rows: list[dict[int, int]], u: Sequence[int], v: Sequence[int]) -> list[dict[int, int]]:
+    """M + u v^T as dict rows, for M as dict rows, in O(nnz(M) + nnz(u)
+    nnz(v)): a row whose u_i is 0 is M's own row, not a copy, and an entry
+    that cancels to 0 stays stored."""
+    column = [(j, x) for j, x in enumerate(v) if x]
+    return [{**row, **{j: row.get(j, 0) + ui * x for j, x in column}} if ui else row for row, ui in zip(rows, u)]
 
 
 def det_perturbed(m: IntRows, u: Sequence[int], v: Sequence[int]) -> int:
@@ -518,27 +523,32 @@ def det_perturbed(m: IntRows, u: Sequence[int], v: Sequence[int]) -> int:
     length-n vectors; an entry of M, u or v that is not an int raises
     LinalgError.
 
-    `det_int` gets the bordered matrix [[M, u], [v^T, -1]] of order n + 1,
-    whose Schur complement on its trailing -1 is M + u v^T, so its
-    determinant is -det(M + u v^T): M's rows as dicts with u in a column n
-    added, and v with the -1 as one last row.  The border is symmetric
-    when M is and u == v, so L + J takes the symmetric kernel.  It is used
-    exactly when det_int's shape rule, on its nonzeros counted without
-    building it, sends it to a modular kernel, as for L + J of a sparse
-    graph; `add_outer_product`'s dense M + u v^T is used otherwise.
+    `det_int` gets the sparser of two matrices, judged from the nonzero
+    counts of M, u and v without building either.  The bordered matrix
+    [[M, u], [v^T, -1]] of order n + 1, whose Schur complement on its
+    trailing -1 is M + u v^T, so its determinant is -det(M + u v^T), has
+    nnz(M) + nnz(u) + nnz(v) + 1 nonzeros, and is built as M's rows as
+    dicts with u in a column n added, and v with the -1 as one last row.
+    It is used exactly when 2 nnz(M) + nnz(u) + nnz(v) + 1 < nnz(u)
+    nnz(v): M + u v^T has at least nnz(u) nnz(v) - nnz(M) nonzeros, since
+    each entry of M cancels at most one of u v^T.  Otherwise `_outer_sum`
+    builds M + u v^T in dict rows.  The border is symmetric when M is and
+    u == v, so L + J of a sparse graph takes the symmetric kernel, and
+    L + J = nI - L(complement) of a dense graph stays unbordered.
     M, u and v are checked here, and det_int checks the matrix built from
     them again.
     """
     n = _order(m)
     if len(u) != n or len(v) != n:
         raise DimensionMismatchError(f"vector lengths {len(u)}, {len(v)} do not match n={n}")
-    if _is_sparse(n + 1, _nonzeros([*m, u, v]) + 1):
+    nnz_u, nnz_v = _nonzeros([u]), _nonzeros([v])
+    if 2 * _nonzeros(m) + nnz_u + nnz_v + 1 < nnz_u * nnz_v:
         bordered = [{**row, n: x} if x else row for row, x in zip(_sparse_rows(m), u)]
         last = {j: x for j, x in enumerate(v) if x}
         last[n] = -1
         bordered.append(last)
         return -det_int(bordered)
-    return det_int(add_outer_product(m, u, v))
+    return det_int(_outer_sum(_sparse_rows(m), u, v))
 
 
 def adjugate(m: IntRows) -> IntMatrix:

@@ -396,7 +396,7 @@ def test_det_int_kernel_choice(monkeypatch):
     assert det_int(minor_matrix(cycle, 1, 1)) == 150
     assert det_int(minor_matrix(cycle, 1, 2)) == -150  # not symmetric
     ones = [1] * 150
-    assert det_int(add_outer_product(cycle, ones, ones)) == 150**3
+    assert det_int(add_outer_product(cycle, ones, ones)) == 150**3  # dense, symmetric
     assert det_int(identity(9)) == 1
     rng = random.Random(5)
     ten_per_row = [[0] * 40 for _ in range(40)]
@@ -405,7 +405,12 @@ def test_det_int_kernel_choice(monkeypatch):
             row[j] = rng.choice([-1, 1]) * rng.randint(1, 9)
     assert ten_per_row != [list(col) for col in zip(*ten_per_row)]  # not symmetric
     assert det_int(ten_per_row) == _det_bareiss(ten_per_row)
-    assert used == ["_det_symmetric", "_det_modular", "_det_bareiss", "_det_bareiss", "_det_modular"]
+    full = [[rng.choice([-1, 1]) * rng.randint(1, 9) for _ in range(40)] for _ in range(40)]
+    assert det_int(full) == _det_bareiss(full)
+    # the order alone picks the kernel family, whatever the density
+    assert used == [
+        "_det_symmetric", "_det_modular", "_det_symmetric", "_det_bareiss", "_det_modular", "_det_modular"
+    ]
 
 
 @given(degenerate_matrices(), st.sampled_from(SMALL_PRIMES + [2**64 - 59]))
@@ -497,48 +502,79 @@ def spy_det_int_orders(monkeypatch):
     return orders
 
 
-def test_det_perturbed_borders_exactly_when_the_border_is_sparse(monkeypatch):
-    """det_perturbed hands det_int's path the border B = [[M, u], [v^T, -1]] exactly
-    when det_int's shape rule, counting the nonzeros of B as built here,
-    passes B, for M around 11 nonzeros per row and u, v dense, sparse or
-    all zero."""
-    rng = random.Random(17)
+@st.composite
+def rank_one_updates_either_side(draw):
+    """(M, u, v) of order 28-60: M with 2-40 nonzeros a row, as row lists
+    or as dict rows that store some zeros, and u, v dense, sparse or zero.
+    Some entries of M are -u_i v_j, so M + u v^T stores a zero there.  Half
+    the draws have u and v dense and at most n/4 nonzeros a row, which puts
+    them on the border's side of det_perturbed's rule."""
+    n = draw(st.integers(28, 60))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    near_border = draw(st.booleans())
 
-    def vector(kind, n):
+    def vector(kind):
         if kind == "zero":
             return [0] * n
         if kind == "sparse":
-            return [rng.randint(1, 9) if rng.random() < 0.1 else 0 for _ in range(n)]
-        return [rng.randint(-9, 9) for _ in range(n)]
+            vec = [0] * n
+            for j in rng.sample(range(n), 3):
+                vec[j] = rng.randint(1, 9)
+            return vec
+        return [rng.choice([-1, 1]) * rng.randint(1, 9) if rng.random() < 0.9 else 0 for _ in range(n)]
 
+    kinds = st.just("dense") if near_border else st.sampled_from(["dense", "sparse", "zero"])
+    u, v = vector(draw(kinds)), vector(draw(kinds))
+    m = [[0] * n for _ in range(n)]
+    for i, row in enumerate(m):
+        for j in rng.sample(range(n), rng.randint(2, n // 4 if near_border else min(n, 40))):
+            cancel = -u[i] * v[j]
+            row[j] = cancel if cancel and rng.random() < 0.25 else rng.choice([-1, 1]) * rng.randint(1, 9)
+    if draw(st.booleans()):
+        m = [{j: x for j, x in enumerate(row) if x or rng.random() < 0.05} for row in m]
+    return m, u, v
+
+
+def nonzeros(entries):
+    return sum(x != 0 for x in entries)
+
+
+def test_det_perturbed_borders_exactly_when_the_nonzero_rule_says(monkeypatch):
+    """det_perturbed hands det_int the border [[M, u], [v^T, -1]] of order
+    n + 1 exactly when 2 nnz(M) + nnz(u) + nnz(v) + 1 < nnz(u) nnz(v), and
+    M + u v^T otherwise; both sides are drawn, and both give det(M + u v^T)."""
     orders = spy_det_int_orders(monkeypatch)
     outcomes = set()
-    for _ in range(30):
-        n = rng.randint(linalg.SPARSE_MIN_ORDER - 2, 36)
-        m = [[0] * n for _ in range(n)]
-        for row in m:
-            for j in rng.sample(range(n), rng.randint(8, 12)):
-                row[j] = rng.randint(-3, 3)  # a zero now and then
-        u, v = (vector(kind, n) for kind in rng.choices(["dense", "sparse", "zero"], k=2))
-        border = [[*row, x] for row, x in zip(m, u)] + [[*v, -1]]
-        sparse = linalg._is_sparse(n + 1, sum(x != 0 for row in border for x in row))
+
+    @given(rank_one_updates_either_side())
+    @settings(max_examples=40, deadline=None)
+    def check(muv):
+        m, u, v = muv
+        rows = dense(m) if isinstance(m[0], dict) else m
+        shifted = add_outer_product(m, u, v)
+        assert shifted == [[x + ui * vj for x, vj in zip(row, v)] for row, ui in zip(rows, u)]
         orders.clear()
-        assert det_perturbed(m, u, v) == _det_bareiss(add_outer_product(m, u, v))
-        assert orders == [n + 1 if sparse else n]
-        outcomes.add(sparse)
+        assert det_perturbed(m, u, v) == _det_bareiss(shifted)
+        nnz_u, nnz_v = nonzeros(u), nonzeros(v)
+        bordered = 2 * sum(map(nonzeros, rows)) + nnz_u + nnz_v + 1 < nnz_u * nnz_v
+        assert orders == [len(m) + 1 if bordered else len(m)]
+        outcomes.add(bordered)
+
+    check()
     assert outcomes == {True, False}
 
 
-def test_rank_one_border_takes_modular_kernel(monkeypatch):
+def test_rank_one_sum_takes_modular_kernel(monkeypatch):
     """tau_rank_one with u = 1 and v = e_1 on a graph of average degree 8:
-    the border, not symmetric, goes to the Markowitz kernel."""
+    u v^T has only n nonzeros, so det_int gets L + 1 e_1^T itself, which is
+    not symmetric and goes to the Markowitz kernel."""
     pairs = [(i, j) for i in range(1, 121) for j in range(i + 1, 121)]
     g = Graph(120, random.Random(12).sample(pairs, 480))
     expected = _det_bareiss(minor_matrix(g.laplacian(), 1, 1))
     used = spy_kernels(monkeypatch)
     orders = spy_det_int_orders(monkeypatch)
     assert tau_rank_one(g, [1] * 120, [1] + [0] * 119) == expected
-    assert orders == [121]
+    assert orders == [120]
     assert used == ["_det_modular"]
 
 
@@ -549,8 +585,6 @@ def test_det_perturbed_matrix_and_kernel_choice(monkeypatch):
     pairs = [(i, j) for i in range(1, 121) for j in range(i + 1, 121)]
     graphs = {
         "150-cycle": Graph(150, [(i, i % 150 + 1) for i in range(1, 151)]),
-        # average degree 8: L with its border has 1321 nonzeros, within 11 per
-        # row at order 121
         "G(120, m=480)": Graph(120, random.Random(12).sample(pairs, 480)),
         "G(60, 0.97)": random_graph(rng, 60, 0.97),
         "K40": random_graph(rng, 40, 1.0),
@@ -569,14 +603,15 @@ def test_det_perturbed_matrix_and_kernel_choice(monkeypatch):
         choices[name] = (bordered, used[:])
         orders.clear()
         used.clear()
-    # the bordered L + J is symmetric, and its singular L hands the block
-    # left to _det_modular (see test_zero_diagonal_hand_off)
+    # L + J is bordered below density about 1/2; the bordered L + J is
+    # symmetric, and its singular L hands the block left to _det_modular
+    # (see test_zero_diagonal_hand_off)
     assert choices == {
         "150-cycle": (True, ["_det_symmetric", "_det_modular"]),
         "G(120, m=480)": (True, ["_det_symmetric", "_det_modular"]),
         "G(60, 0.97)": (False, ["_det_symmetric"]),
         "K40": (False, ["_det_symmetric"]),
-        "G(40, 0.3)": (False, ["_det_bareiss"]),
+        "G(40, 0.3)": (True, ["_det_symmetric", "_det_modular"]),
         "K8": (False, ["_det_bareiss"]),
     }
 
@@ -767,10 +802,12 @@ def test_det_int_dict_rows_match_list_rows(monkeypatch):
     huge = [[0] * 30 for _ in range(30)]  # bound above the largest prime
     for i in range(30):
         huge[i][i] = rng.getrandbits(1500) | 1 << 1499
+    u = [rng.randint(1, 9) for _ in range(40)]
     cases = {
         "symmetric": (minor_matrix(cycle, 1, 1), ["_det_symmetric"]),
         "modular": (minor_matrix(cycle, 1, 2), ["_det_modular"]),
-        "dense": (add_outer_product(cycle, ones, ones), ["_det_bareiss"]),
+        "dense, symmetric": (add_outer_product(cycle, ones, ones), ["_det_symmetric"]),
+        "dense, general": (add_outer_product([row[:40] for row in cycle[:40]], u, ones[:40]), ["_det_modular"]),
         "empty row": (empty_row, ["_det_modular"]),
         "empty row and column": (empty_both, ["_det_symmetric", "_det_modular"]),
         "Bareiss": ([[3, -1, -1], [-1, -1, 0], [-1, -1, 2]], ["_det_bareiss"]),
@@ -786,8 +823,8 @@ def test_det_int_dict_rows_match_list_rows(monkeypatch):
         assert det_int(sparse_rows(m)) == expected, name
         assert used == kernels, name
         used.clear()
-    # a stored zero is not an entry: the shape rule and the symmetry test
-    # still send the minor to the symmetric kernel
+    # a stored zero is not an entry: the symmetry test still sends the minor
+    # to the symmetric kernel
     rows = sparse_rows(minor_matrix(cycle, 1, 1))
     rows[0][100] = 0
     assert det_int(rows) == 150
@@ -912,7 +949,7 @@ def test_det_int_rejects_non_integer_entries():
         det_int([[1.5]])
     with pytest.raises(LinalgError):
         det_int([[0.5, 1], [1, 2]])
-    cycle = Graph(40, [(i, i % 40 + 1) for i in range(1, 41)]).laplacian()  # a modular kernel's shape
+    cycle = Graph(40, [(i, i % 40 + 1) for i in range(1, 41)]).laplacian()  # a modular kernel's order
     for bad in NOT_INTS:
         for m in ([[2, 1], [1, bad]], with_entry(cycle, 0, 20, bad), with_entry(cycle, 0, 0, bad)):
             with pytest.raises(LinalgError):

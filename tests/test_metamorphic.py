@@ -1,11 +1,12 @@
 """Metamorphic properties of tau at sizes where det_int takes its symmetric
-modular kernel: sparse random graphs on 31-60 vertices.  Each property reads
-tau_reduced (a sparse minor) and tau_temperley (L + J, which det_perturbed
-hands to det_int's path as the symmetric bordered matrix [[L, 1], [1^T, -1]]),
-both on the symmetric kernel, against tau from a Laplacian minor by Bareiss
-elimination.  So a fault shared by every determinant route, or one in
-either modular kernel, in the hand-off between them or in the bordering,
-breaks an identity that does not depend on any one method."""
+modular kernel, which it picks by order alone: sparse random graphs on
+31-60 vertices.  Each property reads tau_reduced (a sparse minor) and
+tau_temperley (L + J, which det_perturbed hands to det_int's path as the
+symmetric bordered matrix [[L, 1], [1^T, -1]]), both on the symmetric
+kernel, against tau from a Laplacian minor by Bareiss elimination.  So a
+fault shared by every determinant route, or one in either modular kernel,
+in the hand-off between them or in the bordering, breaks an identity that
+does not depend on any one method."""
 
 import random
 from unittest import mock
@@ -42,19 +43,19 @@ def det_int_inputs(count, g: Graph) -> tuple[int, list]:
 
 def reduced_by_modular_kernel(g: Graph) -> int:
     """tau_reduced(g, 1, 1), checking that det_int received the order n - 1
-    minor and that its shape rule sends it to the modular kernel."""
+    minor, an order that det_int sends to the modular kernel."""
     value, matrices = det_int_inputs(lambda h: tau_reduced(h, 1, 1), g)
     assert [len(m) for m in matrices] == [g.n - 1]
-    assert linalg._is_sparse(g.n - 1, linalg._nonzeros(matrices[0]))
+    assert len(matrices[0]) >= linalg.SPARSE_MIN_ORDER
     return value
 
 
 def temperley_by_bordered_matrix(g: Graph) -> int:
     """tau_temperley(g), checking that det_int's path received the bordered L + J
-    of order n + 1 and that its shape rule sends it to the modular kernel."""
+    of order n + 1, an order that det_int sends to the modular kernel."""
     value, matrices = det_int_inputs(tau_temperley, g)
     assert [len(m) for m in matrices] == [g.n + 1]
-    assert linalg._is_sparse(g.n + 1, linalg._nonzeros(matrices[0]))
+    assert len(matrices[0]) >= linalg.SPARSE_MIN_ORDER
     return value
 
 

@@ -30,10 +30,16 @@ Integer determinants (`det_int`) have three exact kernels:
   Once the block left is nearly dense (the row minimum degree pops holds
   at least 7/10 of the rows left, so every row does, and more than 8 rows
   are left), it is copied into dense lists and finished by a dense tail
-  (`_dense_tail`): left-looking LDL^T over the same GF(P), each factor
-  entry one dot product in C reduced once.  A zero pivot there hands the
-  Schur complement on the rows not yet factored to the Markowitz kernel,
-  so the tail of a singular Laplacian with its border ends in a 2 x 2.
+  (`_dense_tail`): left-looking LDL^T over the same GF(P), two rows at a
+  time, each factor entry one dot product in C reduced once.  The 2 x 2
+  Schur block of a pair gives the product of its two pivots without a
+  division, and one modular inverse gives both their inverses
+  (Montgomery's simultaneous inversion); the last pair needs none, since
+  its product ends the determinant.  So the zero pivot of L's last vertex
+  in the Temperley border [[L, 1], [1^T, -1]] of a connected graph, which
+  falls in that pair, is no hand-off.  A zero pivot in an earlier pair
+  hands the Schur complement on the rows not yet factored to the
+  Markowitz kernel.
 
 `det_int` picks the kernel from the order of the matrix it receives, and
 from nothing else: a modular one for order at least SPARSE_MIN_ORDER, when
@@ -51,17 +57,22 @@ A rank-one update has a second matrix with the same determinant up to
 sign.  The bordered matrix B = [[M, u], [v^T, -1]] of order n + 1 has the
 Schur complement M + u v^T on its trailing -1, so det B = -det(M + u v^T)
 (the matrix determinant lemma), and B is symmetric exactly when M is and
-u == v.  `det_perturbed` hands `det_int` the sparser of the two, judged
-from the nonzero counts of M, u and v alone: B has nnz(M) + nnz(u) +
-nnz(v) + 1, and M + u v^T at least nnz(u) nnz(v) - nnz(M), since each
-entry of M cancels at most one entry of u v^T.  B is used when it has
-fewer nonzeros than that, M + u v^T otherwise, built in dict rows in
-O(nnz(M) + nnz(u) nnz(v)).  So L + J of a sparse graph, zero only at its
-2m edge entries, takes the symmetric kernel on L plus one dense row and
-column (L is singular, so elimination reaches a zero diagonal and hands
-the block left to the Markowitz kernel: for a connected graph, only the
-last 2 x 2), while L + J = nI - L(complement) of a dense graph stays
-unbordered.  Near density 1/2 the two are about the same size.
+u == v.  Below n + 1 = SPARSE_MIN_ORDER both would go to Bareiss, whose
+cost depends on the order alone, so `det_perturbed` hands `det_int`
+M + u v^T as row lists.  From that order up it hands `det_int` the
+sparser of the two, judged from the nonzero counts of M, u and v alone:
+B has nnz(M) + nnz(u) + nnz(v) + 1, and M + u v^T at least
+nnz(u) nnz(v) - nnz(M), since each entry of M cancels at most one entry
+of u v^T.  B is used when it has fewer nonzeros than that, M + u v^T
+otherwise, built in dict rows in O(nnz(M) + nnz(u) nnz(v)) without the
+entries that cancel.  So L + J of a sparse graph, zero only at its 2m
+edge entries, takes the symmetric kernel on L plus one dense row and
+column.  L is singular, so elimination meets a zero pivot at L's last
+vertex: in the dense tail's last pair, which takes it, once the block
+left fills, as on G(n, 3n); a cycle never fills and hands its last 2 x 2
+to the Markowitz kernel.  L + J = nI - L(complement) of a dense graph
+stays unbordered, and stores no entry where L and J cancel.  Near
+density 1/2 the two are about the same size.
 
 `det_rat`, the determinant of a rational matrix, scales each row to
 integers by the lcm of its denominators and calls `det_int`.
@@ -89,7 +100,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress, repeat
-from operator import countOf, mul
+from operator import countOf, itemgetter, mul
 from math import isqrt, lcm
 
 IntMatrix = list[list[int]]
@@ -125,6 +136,11 @@ SPARSE_MIN_ORDER = 30
 # benchmark (best of 7 interleaved, Python 3.11, 2 vCPUs): 0.93 from 5/10,
 # 0.91-0.92 from 6/10 to 9/10; at 7/10, 0.91-0.92 above 4, 8 or 16 rows
 # and 0.93 above 30.  G(n, 3n) took 0.88, grids 0.98; cycles never switch.
+# With the tail taking rows in pairs, kernel time on the minors and borders
+# of 9 G(n, 3n) (n = 60, 90, 120) and 9 relabelled 8x8, 10x10 and 12x12
+# grids, against 7/10 (best of 15, then of 21, switch values shuffled in
+# each round): 5/10 1.04 and 1.01, 6/10 1.03 and 0.99, 8/10 1.02 and 0.99,
+# 9/10 1.03 and 1.02, so no value beats 7/10 by more than the noise.
 DENSE_TAIL_TENTHS = 7
 DENSE_TAIL_MIN_ROWS = 8
 
@@ -348,10 +364,6 @@ def _det_symmetric(rows: list[dict[int, int]], p: int) -> int:
     `_dense_tail` instead, its rows ordered by their entry count and then
     by index, whatever the popped diagonal is: pair updates on dicts cost
     about twenty bytecodes each, where the tail's dot products run in C.
-    A zero pivot in the tail, such as L's last vertex in the Temperley
-    border [[L, 1], [1^T, -1]] of a connected graph, hands `_det_modular`
-    the Schur complement on the rows left: there, the 2 x 2 of that vertex
-    and the border.
     """
     rows = [{j: r for j, x in row.items() if (r := x % p)} for row in rows]
     heap = [(len(row), i) for i, row in enumerate(rows)]
@@ -397,43 +409,65 @@ def _det_symmetric(rows: list[dict[int, int]], p: int) -> int:
 
 def _dense_tail(block: list[dict[int, int]], p: int) -> int:
     """det(A) mod p for a symmetric A given as `_det_modular` takes it, by
-    left-looking LDL^T elimination over GF(p) on dense rows, in row order.
+    left-looking LDL^T elimination over GF(p) on dense rows, two rows at a
+    time in row order.
 
     A = L D L^T with L unit lower triangular.  Row j of U = L D is found
-    when its pivot is reached, from the rows of L before it: u_jt = a_jt -
-    sum_s u_js l_ts for t < j, each one dot product over the columns s < t
-    reduced once; then l_jt = u_jt / d_t, with the inverse of each pivot
-    taken once, and d_j = a_jj - sum_t u_jt l_jt.  A zero d_j finishes the
-    rows j.. up to column j the same way, and their Schur complement a_ab -
-    sum_t u_at l_bt goes to `_det_modular`: det(A) = d_0 ... d_(j-1) *
-    det(Schur complement) mod p.
+    from the rows of L before it: u_jt = a_jt - sum_s u_js l_ts for t < j,
+    each one dot product over the columns s < t reduced once, and then
+    l_jt = u_jt / d_t.  Rows j and j + 1 are found in one loop over the
+    rows of L done, and their Schur complement on those rows is the 2 x 2
+    [[d_j, s], [s, r]], with s = u_(j+1)j.  So N = d_j r - s^2 = d_j d_(j+1)
+    needs no division, one inverse w = 1 / (d_j N) gives 1 / d_j = N w and
+    1 / d_(j+1) = d_j^2 w, and l_(j+1)j = s / d_j.  A block of odd order
+    takes row 0 alone first, so its last two rows form a pair too: their
+    N ends the product with no inverse, even when their d_j is 0, as at
+    L's last vertex in the Temperley border [[L, 1], [1^T, -1]] of a
+    connected graph.  So a nonsingular block of k rows takes at most
+    k // 2 inverses.  A zero d_j or N in an earlier pair hands the Schur
+    complement on rows j.., a_ab - sum_t u_at l_bt, to `_det_modular`:
+    det(A) = d_0 ... d_(j-1) * det(Schur complement) mod p.
     """
     a = _dense_rows(block, len(block))
+    k = len(a)
     lows: list[list[int]] = []  # the rows of L done, left of the diagonal
     inverses: list[int] = []  # 1 / d_t
 
-    def factor(row: list[int]) -> tuple[list[int], list[int]]:
-        """A row's u_t and l_t for the columns t done."""
+    def factor(row: list[int], next_row: list[int]) -> list[tuple[list[int], list[int]]]:
+        """Two rows' u_t and l_t for the columns t done, in one loop."""
         u: list[int] = []
-        append = u.append
-        for x, low in zip(row, lows):
-            append((x - sum(map(mul, u, low))) % p)
-        return u, [x * inv % p for x, inv in zip(u, inverses)]
+        v: list[int] = []
+        for x, y, low in zip(row, next_row, lows):
+            u.append((x - sum(map(mul, u, low))) % p)
+            v.append((y - sum(map(mul, v, low))) % p)
+        return [(w, [x * inv % p for x, inv in zip(w, inverses)]) for w in (u, v)]
 
     det = 1
-    for j, row in enumerate(a):
-        u, low = factor(row)
-        pivot = (row[j] - sum(map(mul, u, low))) % p
-        if not pivot:
-            rest = [factor(row_a) for row_a in a[j:]]
+    if k % 2:  # row 0 alone, so the last two rows form a pair
+        det = a[0][0] % p
+        if k == 1 or not det:
+            return det or _det_modular(block, p)
+        inverses.append(pow(det, -1, p))
+        lows.append([])
+    for j in range(k % 2, k, 2):
+        row, next_row = a[j], a[j + 1]
+        (u, low), (v, next_low) = factor(row, next_row)
+        d = (row[j] - sum(map(mul, u, low))) % p
+        s = (next_row[j] - sum(map(mul, v, low))) % p
+        n = (d * (next_row[j + 1] - sum(map(mul, v, next_low))) - s * s) % p
+        if j + 2 == k:
+            return det * n % p
+        if not d * n:
+            rest = [f for i in range(j, k, 2) for f in factor(a[i], a[i + 1])]
             schur = []
             for row_a, (u_a, _) in zip(a[j:], rest):
                 entries = [(y - sum(map(mul, u_a, l_b))) % p for y, (_, l_b) in zip(row_a[j:], rest)]
                 schur.append({b: x for b, x in enumerate(entries) if x})
             return det * _det_modular(schur, p)
-        det = det * pivot % p
-        inverses.append(pow(pivot, -1, p))
-        lows.append(low)
+        det = det * n % p
+        w = pow(d * n, -1, p)
+        inverses += (n * w % p, d * d * w % p)
+        lows += (low, [*next_low, s * inverses[-2] % p])
     return det
 
 
@@ -503,19 +537,22 @@ def minor_matrix(m: Sequence[Sequence | dict], row: int, col: int) -> list:
 
 def add_outer_product(m: IntRows, u: Sequence[int], v: Sequence[int]) -> IntMatrix:
     """Entrywise M + u v^T, as row lists, for an n x n matrix in either row
-    form and length-n vectors: the dense form of `_outer_sum`."""
+    form and length-n vectors."""
     n = _order(m)
     if len(u) != n or len(v) != n:
         raise DimensionMismatchError(f"vector lengths {len(u)}, {len(v)} do not match n={n}")
-    return _dense_rows(_outer_sum(_sparse_rows(m), u, v), n)
+    return [[x + ui * y for x, y in zip(row, v)] for row, ui in zip(_dense_rows(m, n), u)]
 
 
 def _outer_sum(rows: list[dict[int, int]], u: Sequence[int], v: Sequence[int]) -> list[dict[int, int]]:
     """M + u v^T as dict rows, for M as dict rows, in O(nnz(M) + nnz(u)
-    nnz(v)): a row whose u_i is 0 is M's own row, not a copy, and an entry
-    that cancels to 0 stays stored."""
+    nnz(v)): a row whose u_i is 0 is M's own row, not a copy, and the
+    others store no zeros, so an entry that cancels to 0 is dropped."""
     column = [(j, x) for j, x in enumerate(v) if x]
-    return [{**row, **{j: row.get(j, 0) + ui * x for j, x in column}} if ui else row for row, ui in zip(rows, u)]
+    return [
+        dict(filter(itemgetter(1), {**row, **{j: row.get(j, 0) + ui * x for j, x in column}}.items())) if ui else row
+        for row, ui in zip(rows, u)
+    ]
 
 
 def det_perturbed(m: IntRows, u: Sequence[int], v: Sequence[int]) -> int:
@@ -523,8 +560,11 @@ def det_perturbed(m: IntRows, u: Sequence[int], v: Sequence[int]) -> int:
     length-n vectors; an entry of M, u or v that is not an int raises
     LinalgError.
 
-    `det_int` gets the sparser of two matrices, judged from the nonzero
-    counts of M, u and v without building either.  The bordered matrix
+    Below n + 1 = SPARSE_MIN_ORDER, `det_int` gets M + u v^T as row lists
+    from `add_outer_product`: the bordered matrix would go to Bareiss too,
+    one order larger.  From that order up, `det_int` gets the sparser of
+    two matrices, judged from the nonzero counts of M, u and v without
+    building either.  The bordered matrix
     [[M, u], [v^T, -1]] of order n + 1, whose Schur complement on its
     trailing -1 is M + u v^T, so its determinant is -det(M + u v^T), has
     nnz(M) + nnz(u) + nnz(v) + 1 nonzeros, and is built as M's rows as
@@ -532,17 +572,20 @@ def det_perturbed(m: IntRows, u: Sequence[int], v: Sequence[int]) -> int:
     It is used exactly when 2 nnz(M) + nnz(u) + nnz(v) + 1 < nnz(u)
     nnz(v): M + u v^T has at least nnz(u) nnz(v) - nnz(M) nonzeros, since
     each entry of M cancels at most one of u v^T.  Otherwise `_outer_sum`
-    builds M + u v^T in dict rows.  The border is symmetric when M is and
-    u == v, so L + J of a sparse graph takes the symmetric kernel, and
-    L + J = nI - L(complement) of a dense graph stays unbordered.
+    builds M + u v^T in dict rows, without the entries that cancel.  The
+    border is symmetric when M is and u == v, so L + J of a sparse graph
+    takes the symmetric kernel, and L + J = nI - L(complement) of a dense
+    graph stays unbordered.
     M, u and v are checked here, and det_int checks the matrix built from
     them again.
     """
     n = _order(m)
     if len(u) != n or len(v) != n:
         raise DimensionMismatchError(f"vector lengths {len(u)}, {len(v)} do not match n={n}")
-    nnz_u, nnz_v = _nonzeros([u]), _nonzeros([v])
-    if 2 * _nonzeros(m) + nnz_u + nnz_v + 1 < nnz_u * nnz_v:
+    nnz_u, nnz_v, nnz_m = _nonzeros([u]), _nonzeros([v]), _nonzeros(m)
+    if n + 1 < SPARSE_MIN_ORDER:
+        return det_int(add_outer_product(m, u, v))
+    if 2 * nnz_m + nnz_u + nnz_v + 1 < nnz_u * nnz_v:
         bordered = [{**row, n: x} if x else row for row, x in zip(_sparse_rows(m), u)]
         last = {j: x for j, x in enumerate(v) if x}
         last[n] = -1

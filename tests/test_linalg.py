@@ -4,7 +4,7 @@ from itertools import permutations
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from treecount import (
     DimensionMismatchError,
@@ -541,8 +541,10 @@ def nonzeros(entries):
 
 def test_det_perturbed_borders_exactly_when_the_nonzero_rule_says(monkeypatch):
     """det_perturbed hands det_int the border [[M, u], [v^T, -1]] of order
-    n + 1 exactly when 2 nnz(M) + nnz(u) + nnz(v) + 1 < nnz(u) nnz(v), and
-    M + u v^T otherwise; both sides are drawn, and both give det(M + u v^T)."""
+    n + 1 exactly when n + 1 >= SPARSE_MIN_ORDER and 2 nnz(M) + nnz(u) +
+    nnz(v) + 1 < nnz(u) nnz(v), and M + u v^T otherwise (below that order
+    both would go to Bareiss); both sides are drawn, and both give
+    det(M + u v^T)."""
     orders = spy_det_int_orders(monkeypatch)
     outcomes = set()
 
@@ -556,7 +558,9 @@ def test_det_perturbed_borders_exactly_when_the_nonzero_rule_says(monkeypatch):
         orders.clear()
         assert det_perturbed(m, u, v) == _det_bareiss(shifted)
         nnz_u, nnz_v = nonzeros(u), nonzeros(v)
-        bordered = 2 * sum(map(nonzeros, rows)) + nnz_u + nnz_v + 1 < nnz_u * nnz_v
+        bordered = (
+            len(m) + 1 >= linalg.SPARSE_MIN_ORDER and 2 * sum(map(nonzeros, rows)) + nnz_u + nnz_v + 1 < nnz_u * nnz_v
+        )
         assert orders == [len(m) + 1 if bordered else len(m)]
         outcomes.add(bordered)
 
@@ -604,14 +608,16 @@ def test_det_perturbed_matrix_and_kernel_choice(monkeypatch):
         orders.clear()
         used.clear()
     # L + J is bordered below density about 1/2; the bordered L + J is
-    # symmetric, and its singular L hands the block left to _det_modular
-    # (see test_zero_diagonal_hand_off)
+    # symmetric.  Its singular L hands the cycle's block left to
+    # _det_modular (see test_zero_diagonal_hand_off), while the graphs that
+    # fill reach the dense tail, whose last pair takes L's zero pivot itself
+    # (see test_dense_tail_switch)
     assert choices == {
         "150-cycle": (True, ["_det_symmetric", "_det_modular"]),
-        "G(120, m=480)": (True, ["_det_symmetric", "_det_modular"]),
+        "G(120, m=480)": (True, ["_det_symmetric"]),
         "G(60, 0.97)": (False, ["_det_symmetric"]),
         "K40": (False, ["_det_symmetric"]),
-        "G(40, 0.3)": (True, ["_det_symmetric", "_det_modular"]),
+        "G(40, 0.3)": (True, ["_det_symmetric"]),
         "K8": (False, ["_det_bareiss"]),
     }
 
@@ -689,8 +695,9 @@ def test_zero_diagonal_hand_off(monkeypatch):
 def test_dense_tail_switch(monkeypatch):
     """Minimum degree fills a G(120, 360) minor and its Temperley border to
     a block at least 7/10 full, where the dense tail takes over; on the
-    border, L's zero pivot hands the tail's last 2 x 2 to _det_modular.  A
-    cycle never fills, so its minor stays in the sparse loop."""
+    border, L's zero pivot falls in the tail's last pair of rows, which
+    ends the product itself, so no _det_modular runs.  A cycle never fills,
+    so its minor stays in the sparse loop."""
     calls = block_orders(monkeypatch)
     real = linalg._dense_tail
 
@@ -713,9 +720,8 @@ def test_dense_tail_switch(monkeypatch):
     calls.clear()
     ones = [1] * 120
     assert det_perturbed(g.laplacian_rows(), ones, ones) == 120**2 * tau
-    (first, _), (second, order), third = calls
-    assert (first, second, third) == ("_det_symmetric", "_dense_tail", ("_det_modular", 2))
-    assert order > linalg.DENSE_TAIL_MIN_ROWS
+    (first, _), (second, order) = calls
+    assert (first, second) == ("_det_symmetric", "_dense_tail") and order > linalg.DENSE_TAIL_MIN_ROWS
     calls.clear()
     cycle = Graph(150, [(i, i % 150 + 1) for i in range(1, 151)])
     assert det_int(minor_matrix(cycle.laplacian_rows(), 1, 1)) == 150
@@ -787,6 +793,77 @@ def test_dense_tail_residue_on_every_path(km, p):
         assert tail.call_count == 0
     else:
         assert tail.call_count == 1 and len(tail.call_args.args[0]) == len(m)
+
+
+# Where _dense_tail can meet a zero pivot: the row an odd block takes alone,
+# either row of a pair with an inverse to take, or the last pair.
+ZERO_PIVOTS = ["none", "odd first row", "pair, first row", "pair, second row", "last pair, first row", "last pair, second row"]
+
+
+@st.composite
+def paired_tail_blocks(draw):
+    """(where, p, M): a symmetric integer M of order 1-16 and a prime p from
+    SMALL_PRIMES, with d_z = 0 mod p in M's LDL^T for the row z that `where`
+    names (unless an earlier pivot is 0 mod p already): a_zz is shifted by
+    det(M[:z+1, :z+1]) / det(M[:z, :z]) mod p, which zeroes that leading
+    minor and only it."""
+    k = draw(st.integers(1, 16))
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    where = draw(st.sampled_from(ZERO_PIVOTS))
+    first = k % 2  # the first row of the first pair
+    middle = range(first, k - 2, 2)  # the first rows of the pairs before the last
+    if where == "odd first row":
+        assume(first)
+        z = 0
+    elif where.startswith("pair"):
+        assume(middle)
+        z = draw(st.sampled_from(middle)) + where.endswith("second row")
+    elif where.startswith("last pair"):
+        assume(k >= 2)
+        z = k - 1 if where.endswith("second row") else k - 2
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    m = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            m[i][j] = m[j][i] = rng.randint(-9, 9)
+    if where != "none":
+        leading = _det_bareiss([row[:z] for row in m[:z]]) % p
+        if leading:
+            m[z][z] -= _det_bareiss([row[: z + 1] for row in m[: z + 1]]) * pow(leading, -1, p) % p
+    return where, p, m
+
+
+@given(paired_tail_blocks())
+@settings(max_examples=300, deadline=None)
+def test_paired_dense_tail_residue(block):
+    """_dense_tail on its own, with a zero pivot in each place the paired
+    rows tell apart: the result is det mod p all the same."""
+    where, p, m = block
+    assert (linalg._dense_tail(sparse_rows(m), p) - _det_bareiss(m)) % p == 0
+
+
+def test_dense_tail_takes_one_inverse_a_pair(monkeypatch):
+    """On a nonsingular block of k rows, _dense_tail takes at most k // 2
+    modular inverses: one for each pair of rows but the last, and one for
+    the row an odd block takes alone."""
+    inverses = []
+
+    def counting_pow(*args):
+        inverses.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(linalg, "pow", counting_pow, raising=False)
+    rng = random.Random(27)
+    p = 2**64 - 59
+    for k in range(1, 17):
+        m = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                m[i][j] = m[j][i] = rng.randint(-(10**6), 10**6)
+        assert _det_bareiss(m) % p
+        inverses.clear()
+        assert (linalg._dense_tail(sparse_rows(m), p) - _det_bareiss(m)) % p == 0
+        assert len(inverses) <= k // 2
 
 
 def test_det_int_dict_rows_match_list_rows(monkeypatch):

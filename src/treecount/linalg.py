@@ -28,18 +28,19 @@ Integer determinants (`det_int`) have three exact kernels:
   0, the block left goes to the Markowitz kernel; the Schur-complement
   identity det = prod(pivots) * det(block left) is exact over GF(P).
   Once the block left is nearly dense (the row minimum degree pops holds
-  at least 7/10 of the rows left, so every row does, and more than 8 rows
-  are left), it is copied into dense lists and finished by a dense tail
-  (`_dense_tail`): left-looking LDL^T over the same GF(P), two rows at a
-  time, each factor entry one dot product in C reduced once.  The 2 x 2
-  Schur block of a pair gives the product of its two pivots without a
-  division, and one modular inverse gives both their inverses
-  (Montgomery's simultaneous inversion); the last pair needs none, since
-  its product ends the determinant.  So the zero pivot of L's last vertex
-  in the Temperley border [[L, 1], [1^T, -1]] of a connected graph, which
-  falls in that pair, is no hand-off.  A zero pivot in an earlier pair
-  hands the Schur complement on the rows not yet factored to the
-  Markowitz kernel.
+  at least 7/10 of the rows left, so every row does), it is copied into
+  dense lists and finished by a dense tail (`_dense_tail`): left-looking
+  LDL^T over the same GF(P), two rows at a time, each factor entry one dot
+  product in C reduced once.  That rule holds at the latest for the last
+  row, so every elimination that meets no zero diagonal first ends in the
+  tail.  A block of odd order gets a leading unit row and column, so its
+  rows form pairs.  The 2 x 2 Schur block of a pair gives the product of
+  its two pivots without a division, and one modular inverse gives both
+  their inverses (Montgomery's simultaneous inversion); the last pair
+  needs none, since its product ends the determinant.  So the zero pivot
+  of L's last vertex in the Temperley border [[L, 1], [1^T, -1]] of a
+  connected graph, which falls in that pair, is no hand-off.  A zero pivot
+  in an earlier pair hands the whole block to the Markowitz kernel.
 
 `det_int` picks the kernel from the order of the matrix it receives, and
 from nothing else: a modular one for order at least SPARSE_MIN_ORDER, when
@@ -68,11 +69,10 @@ otherwise, built in dict rows in O(nnz(M) + nnz(u) nnz(v)) without the
 entries that cancel.  So L + J of a sparse graph, zero only at its 2m
 edge entries, takes the symmetric kernel on L plus one dense row and
 column.  L is singular, so elimination meets a zero pivot at L's last
-vertex: in the dense tail's last pair, which takes it, once the block
-left fills, as on G(n, 3n); a cycle never fills and hands its last 2 x 2
-to the Markowitz kernel.  L + J = nI - L(complement) of a dense graph
-stays unbordered, and stores no entry where L and J cancel.  Near
-density 1/2 the two are about the same size.
+vertex, in the dense tail's last pair, which takes it: the border of a
+connected graph never reaches the Markowitz kernel.  L + J = nI -
+L(complement) of a dense graph stays unbordered, and stores no entry
+where L and J cancel.  Near density 1/2 the two are about the same size.
 
 `det_rat`, the determinant of a rational matrix, scales each row to
 integers by the lcm of its denominators and calls `det_int`.
@@ -130,19 +130,17 @@ PRIMES = (
 # density (best of 3, Python 3.11, 2 vCPUs).
 SPARSE_MIN_ORDER = 30
 # _det_symmetric's dense tail starts when the row minimum degree pops has at
-# least DENSE_TAIL_TENTHS / 10 of the rows left as entries and more than
-# DENSE_TAIL_MIN_ROWS rows are left.  Kernel time against no tail, summed
-# over the minors and Temperley borders of 30 graphs of the `sparse`
-# benchmark (best of 7 interleaved, Python 3.11, 2 vCPUs): 0.93 from 5/10,
-# 0.91-0.92 from 6/10 to 9/10; at 7/10, 0.91-0.92 above 4, 8 or 16 rows
-# and 0.93 above 30.  G(n, 3n) took 0.88, grids 0.98; cycles never switch.
+# least DENSE_TAIL_TENTHS / 10 of the rows left as entries.  Kernel time
+# against no tail, summed over the minors and Temperley borders of 30
+# graphs of the `sparse` benchmark (best of 7 interleaved, Python 3.11,
+# 2 vCPUs): 0.93 from 5/10, 0.91-0.92 from 6/10 to 9/10; at 7/10, G(n, 3n)
+# took 0.88 and grids 0.98.
 # With the tail taking rows in pairs, kernel time on the minors and borders
 # of 9 G(n, 3n) (n = 60, 90, 120) and 9 relabelled 8x8, 10x10 and 12x12
 # grids, against 7/10 (best of 15, then of 21, switch values shuffled in
 # each round): 5/10 1.04 and 1.01, 6/10 1.03 and 0.99, 8/10 1.02 and 0.99,
 # 9/10 1.03 and 1.02, so no value beats 7/10 by more than the noise.
 DENSE_TAIL_TENTHS = 7
-DENSE_TAIL_MIN_ROWS = 8
 
 
 class LinalgError(ValueError):
@@ -359,11 +357,12 @@ def _det_symmetric(rows: list[dict[int, int]], p: int) -> int:
     reduces its entries when it starts.
 
     The popped row has the fewest entries, so once it holds at least
-    DENSE_TAIL_TENTHS / 10 of the rows left, every row left does.  Then,
-    with more than DENSE_TAIL_MIN_ROWS rows left, the block left goes to
-    `_dense_tail` instead, its rows ordered by their entry count and then
-    by index, whatever the popped diagonal is: pair updates on dicts cost
-    about twenty bytecodes each, where the tail's dot products run in C.
+    DENSE_TAIL_TENTHS / 10 of the rows left, every row left does.  Then
+    the block left goes to `_dense_tail` instead, its rows ordered by their
+    entry count and then by index, whatever the popped diagonal is: pair
+    updates on dicts cost about twenty bytecodes each, where the tail's dot
+    products run in C.  A last row with a nonzero diagonal meets the rule,
+    so an elimination that meets no zero diagonal first ends in the tail.
     """
     rows = [{j: r for j, x in row.items() if (r := x % p)} for row in rows]
     heap = [(len(row), i) for i, row in enumerate(rows)]
@@ -376,7 +375,7 @@ def _det_symmetric(rows: list[dict[int, int]], p: int) -> int:
         row = rows[r]
         if done[r] or size != len(row):
             continue  # stale heap entry
-        dense = left > DENSE_TAIL_MIN_ROWS and 10 * size >= DENSE_TAIL_TENTHS * left
+        dense = 10 * size >= DENSE_TAIL_TENTHS * left
         pivot = row.get(r, 0) % p
         if dense or not pivot:
             rest = [i for i, finished in enumerate(done) if not finished]
@@ -420,50 +419,36 @@ def _dense_tail(block: list[dict[int, int]], p: int) -> int:
     [[d_j, s], [s, r]], with s = u_(j+1)j.  So N = d_j r - s^2 = d_j d_(j+1)
     needs no division, one inverse w = 1 / (d_j N) gives 1 / d_j = N w and
     1 / d_(j+1) = d_j^2 w, and l_(j+1)j = s / d_j.  A block of odd order
-    takes row 0 alone first, so its last two rows form a pair too: their
-    N ends the product with no inverse, even when their d_j is 0, as at
-    L's last vertex in the Temperley border [[L, 1], [1^T, -1]] of a
-    connected graph.  So a nonsingular block of k rows takes at most
-    k // 2 inverses.  A zero d_j or N in an earlier pair hands the Schur
-    complement on rows j.., a_ab - sum_t u_at l_bt, to `_det_modular`:
-    det(A) = d_0 ... d_(j-1) * det(Schur complement) mod p.
+    gets a leading unit row and column, which leave its determinant as it
+    is, so the rows always form pairs.  The last pair's N ends the product
+    with no inverse, even when its d_j is 0, as at L's last vertex in the
+    Temperley border [[L, 1], [1^T, -1]] of a connected graph.  So a block
+    of k rows takes at most k // 2 inverses.  A zero d_j or N in an earlier
+    pair hands the whole block to `_det_modular`.
     """
     a = _dense_rows(block, len(block))
+    if len(a) % 2:
+        a = [[1] + [0] * len(a), *([0, *row] for row in a)]
     k = len(a)
     lows: list[list[int]] = []  # the rows of L done, left of the diagonal
     inverses: list[int] = []  # 1 / d_t
-
-    def factor(row: list[int], next_row: list[int]) -> list[tuple[list[int], list[int]]]:
-        """Two rows' u_t and l_t for the columns t done, in one loop."""
+    det = 1
+    for j in range(0, k, 2):
+        row, next_row = a[j], a[j + 1]
         u: list[int] = []
         v: list[int] = []
-        for x, y, low in zip(row, next_row, lows):
-            u.append((x - sum(map(mul, u, low))) % p)
-            v.append((y - sum(map(mul, v, low))) % p)
-        return [(w, [x * inv % p for x, inv in zip(w, inverses)]) for w in (u, v)]
-
-    det = 1
-    if k % 2:  # row 0 alone, so the last two rows form a pair
-        det = a[0][0] % p
-        if k == 1 or not det:
-            return det or _det_modular(block, p)
-        inverses.append(pow(det, -1, p))
-        lows.append([])
-    for j in range(k % 2, k, 2):
-        row, next_row = a[j], a[j + 1]
-        (u, low), (v, next_low) = factor(row, next_row)
+        for x, y, low_t in zip(row, next_row, lows):
+            u.append((x - sum(map(mul, u, low_t))) % p)
+            v.append((y - sum(map(mul, v, low_t))) % p)
+        low = [x * inv % p for x, inv in zip(u, inverses)]
+        next_low = [x * inv % p for x, inv in zip(v, inverses)]
         d = (row[j] - sum(map(mul, u, low))) % p
         s = (next_row[j] - sum(map(mul, v, low))) % p
         n = (d * (next_row[j + 1] - sum(map(mul, v, next_low))) - s * s) % p
         if j + 2 == k:
             return det * n % p
         if not d * n:
-            rest = [f for i in range(j, k, 2) for f in factor(a[i], a[i + 1])]
-            schur = []
-            for row_a, (u_a, _) in zip(a[j:], rest):
-                entries = [(y - sum(map(mul, u_a, l_b))) % p for y, (_, l_b) in zip(row_a[j:], rest)]
-                schur.append({b: x for b, x in enumerate(entries) if x})
-            return det * _det_modular(schur, p)
+            return _det_modular(block, p)
         det = det * n % p
         w = pow(d * n, -1, p)
         inverses += (n * w % p, d * d * w % p)

@@ -295,8 +295,8 @@ def degenerate_symmetric_matrices(draw):
 @given(degenerate_symmetric_matrices(), st.sampled_from(SMALL_PRIMES))
 @settings(max_examples=300, deadline=None)
 def test_det_symmetric_residue_for_small_primes(m, p):
-    # Tiny primes make diagonal residues 0 often, so most examples hand the
-    # block left to _det_modular.
+    # Tiny primes make diagonal residues 0 often, so most examples hand a
+    # block to _det_modular, from the sparse loop or the dense tail.
     residue = _det_symmetric(sparse_rows(m), p)
     assert (residue - det_naive(m)) % p == 0
     assert abs(residue) <= p // 2
@@ -608,12 +608,11 @@ def test_det_perturbed_matrix_and_kernel_choice(monkeypatch):
         orders.clear()
         used.clear()
     # L + J is bordered below density about 1/2; the bordered L + J is
-    # symmetric.  Its singular L hands the cycle's block left to
-    # _det_modular (see test_zero_diagonal_hand_off), while the graphs that
-    # fill reach the dense tail, whose last pair takes L's zero pivot itself
-    # (see test_dense_tail_switch)
+    # symmetric.  Every elimination of it ends in the dense tail, whose last
+    # pair takes the zero pivot of the singular L itself (see
+    # test_dense_tail_switch)
     assert choices == {
-        "150-cycle": (True, ["_det_symmetric", "_det_modular"]),
+        "150-cycle": (True, ["_det_symmetric"]),
         "G(120, m=480)": (True, ["_det_symmetric"]),
         "G(60, 0.97)": (False, ["_det_symmetric"]),
         "K40": (False, ["_det_symmetric"]),
@@ -682,14 +681,13 @@ def block_orders(monkeypatch):
 
 
 def test_zero_diagonal_hand_off(monkeypatch):
-    """L of a connected graph is singular, so elimination of the bordered
-    L + J reaches a zero diagonal on L's last vertex and hands the block
-    left, that vertex and the border, to _det_modular."""
+    """An isolated vertex leaves an empty row in the minor of a 30-cycle
+    plus that vertex: minimum degree pops it first, its diagonal is 0, and
+    the sparse loop hands the whole block left to _det_modular."""
     calls = block_orders(monkeypatch)
-    cycle = Graph(150, [(i, i % 150 + 1) for i in range(1, 151)]).laplacian()
-    ones = [1] * 150
-    assert det_perturbed(cycle, ones, ones) == 150**3
-    assert calls == [("_det_symmetric", 151), ("_det_modular", 2)]
+    g = Graph(31, [(i, i % 30 + 1) for i in range(1, 31)])
+    assert det_int(minor_matrix(g.laplacian_rows(), 1, 1)) == 0
+    assert calls == [("_det_symmetric", 30), ("_det_modular", 30)]
 
 
 def test_dense_tail_switch(monkeypatch):
@@ -697,7 +695,7 @@ def test_dense_tail_switch(monkeypatch):
     a block at least 7/10 full, where the dense tail takes over; on the
     border, L's zero pivot falls in the tail's last pair of rows, which
     ends the product itself, so no _det_modular runs.  A cycle never fills,
-    so its minor stays in the sparse loop."""
+    so its minor stays in the sparse loop until its last two rows."""
     calls = block_orders(monkeypatch)
     real = linalg._dense_tail
 
@@ -715,17 +713,15 @@ def test_dense_tail_switch(monkeypatch):
     tau = _det_modular(minor, p)  # the Markowitz kernel alone
     calls.clear()
     assert det_int(minor) == tau
-    (first, _), (second, order) = calls
-    assert (first, second) == ("_det_symmetric", "_dense_tail") and order > linalg.DENSE_TAIL_MIN_ROWS
+    assert [name for name, _ in calls] == ["_det_symmetric", "_dense_tail"]
     calls.clear()
     ones = [1] * 120
     assert det_perturbed(g.laplacian_rows(), ones, ones) == 120**2 * tau
-    (first, _), (second, order) = calls
-    assert (first, second) == ("_det_symmetric", "_dense_tail") and order > linalg.DENSE_TAIL_MIN_ROWS
+    assert [name for name, _ in calls] == ["_det_symmetric", "_dense_tail"]
     calls.clear()
     cycle = Graph(150, [(i, i % 150 + 1) for i in range(1, 151)])
     assert det_int(minor_matrix(cycle.laplacian_rows(), 1, 1)) == 150
-    assert calls == [("_det_symmetric", 149)]
+    assert calls == [("_det_symmetric", 149), ("_dense_tail", 2)]
 
 
 def coprime_entry(rng):
@@ -783,7 +779,8 @@ def tail_matrices(draw):
 @settings(max_examples=120, deadline=None)
 def test_dense_tail_residue_on_every_path(km, p):
     """det_mod through the dense tail: tiny primes make pivots 0 mod p in
-    its middle too, and each zero pivot hands a Schur complement on."""
+    its middle too, and a zero pivot before the last pair hands the whole
+    block to _det_modular."""
     kind, m = km
     with mock.patch.object(linalg, "_dense_tail", wraps=linalg._dense_tail) as tail:
         residue = det_mod(m, p)
@@ -795,9 +792,9 @@ def test_dense_tail_residue_on_every_path(km, p):
         assert tail.call_count == 1 and len(tail.call_args.args[0]) == len(m)
 
 
-# Where _dense_tail can meet a zero pivot: the row an odd block takes alone,
-# either row of a pair with an inverse to take, or the last pair.
-ZERO_PIVOTS = ["none", "odd first row", "pair, first row", "pair, second row", "last pair, first row", "last pair, second row"]
+# Where _dense_tail can meet a zero pivot: either row of a pair with an
+# inverse to take, or either row of the last pair.
+ZERO_PIVOTS = ["none", "pair, first row", "pair, second row", "last pair, first row", "last pair, second row"]
 
 
 @st.composite
@@ -806,21 +803,19 @@ def paired_tail_blocks(draw):
     SMALL_PRIMES, with d_z = 0 mod p in M's LDL^T for the row z that `where`
     names (unless an earlier pivot is 0 mod p already): a_zz is shifted by
     det(M[:z+1, :z+1]) / det(M[:z, :z]) mod p, which zeroes that leading
-    minor and only it."""
+    minor and only it.  An odd block gets a leading unit row, so its row z
+    is row z + 1 of the tail's pairs, and row 0 is the first pair's second
+    row."""
     k = draw(st.integers(1, 16))
     p = draw(st.sampled_from(SMALL_PRIMES))
     where = draw(st.sampled_from(ZERO_PIVOTS))
-    first = k % 2  # the first row of the first pair
-    middle = range(first, k - 2, 2)  # the first rows of the pairs before the last
-    if where == "odd first row":
-        assume(first)
-        z = 0
-    elif where.startswith("pair"):
-        assume(middle)
-        z = draw(st.sampled_from(middle)) + where.endswith("second row")
-    elif where.startswith("last pair"):
-        assume(k >= 2)
-        z = k - 1 if where.endswith("second row") else k - 2
+    pad = k % 2
+    if where != "none":
+        # the tail's first row of each pair before the last, or of the last
+        firsts = range(0, k + pad - 2, 2) if where.startswith("pair") else [k + pad - 2]
+        assume(firsts)
+        z = draw(st.sampled_from(firsts)) + where.endswith("second row") - pad
+        assume(z >= 0)  # the unit row is never 0
     rng = random.Random(draw(st.integers(0, 2**32)))
     m = [[0] * k for _ in range(k)]
     for i in range(k):
@@ -837,15 +832,21 @@ def paired_tail_blocks(draw):
 @settings(max_examples=300, deadline=None)
 def test_paired_dense_tail_residue(block):
     """_dense_tail on its own, with a zero pivot in each place the paired
-    rows tell apart: the result is det mod p all the same."""
+    rows tell apart: the result is det mod p all the same.  A zero before
+    the last pair hands the whole block, all k rows, to _det_modular."""
     where, p, m = block
-    assert (linalg._dense_tail(sparse_rows(m), p) - _det_bareiss(m)) % p == 0
+    rows = sparse_rows(m)
+    with mock.patch.object(linalg, "_det_modular", wraps=linalg._det_modular) as hand_off:
+        assert (linalg._dense_tail(rows, p) - _det_bareiss(m)) % p == 0
+    assert hand_off.call_args_list == [mock.call(rows, p)] * hand_off.call_count  # all k rows
+    if where.startswith("pair"):
+        assert hand_off.call_count == 1
 
 
 def test_dense_tail_takes_one_inverse_a_pair(monkeypatch):
     """On a nonsingular block of k rows, _dense_tail takes at most k // 2
-    modular inverses: one for each pair of rows but the last, and one for
-    the row an odd block takes alone."""
+    modular inverses: one for each pair of rows but the last, where an odd
+    block's row 0 pairs with a leading unit row."""
     inverses = []
 
     def counting_pow(*args):
@@ -929,7 +930,7 @@ def test_det_perturbed_dict_rows_match_list_rows(monkeypatch):
     rng = random.Random(3)
     u = [rng.randint(-5, 5) for _ in range(150)]
     cases = {
-        "bordered, symmetric": (cycle, [1] * 150, [1] * 150, ["_det_symmetric", "_det_modular"]),
+        "bordered, symmetric": (cycle, [1] * 150, [1] * 150, ["_det_symmetric"]),
         "bordered, general": (cycle, u, [1] * 150, ["_det_modular"]),
         "dense, symmetric": (k40, [1] * 40, [1] * 40, ["_det_symmetric"]),
         "dense, Bareiss": ([[2, 1], [1, 3]], [1, 2], [3, 4], ["_det_bareiss"]),

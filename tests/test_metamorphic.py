@@ -142,18 +142,64 @@ def cycle_edges(n):
 
 def test_disconnected_graphs_hand_off_and_count_zero():
     """A component without vertex 1 is a singular block of the minor, and
-    L + J of a disconnected graph is singular too: elimination reaches a
-    zero diagonal, and the symmetric kernel hands the block left to
-    _det_modular."""
+    L + J of a disconnected graph is singular too.  An isolated vertex's
+    row has a zero diagonal and is popped first, so the symmetric kernel
+    hands the block left to _det_modular in both.  On two cycles, the
+    border reaches a zero diagonal in the sparse loop and hands off, and
+    the minor's elimination ends in the dense tail, whose last pair gives
+    0."""
     cycle_and_point = Graph(31, cycle_edges(30))
     two_cycles = Graph(32, [*cycle_edges(20), *shifted(cycle_edges(12), 20)])
-    for g in (cycle_and_point, two_cycles):
+    for g, hand_offs, tails in ((cycle_and_point, 2, 0), (two_cycles, 1, 1)):
         with (
             mock.patch.object(linalg, "_det_symmetric", wraps=linalg._det_symmetric) as kernel,
             mock.patch.object(linalg, "_det_modular", wraps=linalg._det_modular) as hand_off,
+            mock.patch.object(linalg, "_dense_tail", wraps=linalg._dense_tail) as tail,
         ):
             assert reduced_by_modular_kernel(g) == temperley_by_bordered_matrix(g) == 0
-        assert kernel.call_count == hand_off.call_count == 2
+        assert (kernel.call_count, hand_off.call_count, tail.call_count) == (2, hand_offs, tails)
+
+
+@st.composite
+def relabelled_connected_graphs(draw) -> Graph:
+    """A cycle, a grid or a connected G(n, 3n) on 31-90 vertices, with its
+    vertices relabelled at random."""
+    rng = random.Random(draw(SEEDS))
+    kind = draw(st.sampled_from(["cycle", "grid", "G(n, 3n)"]))
+    if kind == "grid":
+        rows = draw(st.integers(2, 9))
+        cols = draw(st.integers(-(-31 // rows), 90 // rows))
+        n = rows * cols
+        edges = [(v, v + 1) for v in range(1, n + 1) if v % cols] + [(v, v + cols) for v in range(1, n - cols + 1)]
+    else:
+        n = draw(st.integers(31, 90))
+        edges = cycle_edges(n)
+        if kind == "G(n, 3n)":
+            pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+            edges = rng.sample(pairs, 3 * n)
+            while not Graph(n, edges).is_connected():
+                edges = rng.sample(pairs, 3 * n)
+    label = list(range(1, n + 1))
+    rng.shuffle(label)
+    return Graph(n, [(label[i - 1], label[j - 1]) for i, j in edges])
+
+
+@given(relabelled_connected_graphs())
+@settings(max_examples=40, deadline=None)
+def test_connected_graphs_end_in_the_dense_tail(g):
+    """The minor of a connected graph is positive definite and its
+    Temperley border is singular only through L, so every elimination ends
+    in the dense tail, the border's zero pivot in the tail's last pair, and
+    none hands a block to _det_modular."""
+    values = []
+    for count in (lambda h: tau_reduced(h, 1, 1), tau_temperley):
+        with (
+            mock.patch.object(linalg, "_dense_tail", wraps=linalg._dense_tail) as tail,
+            mock.patch.object(linalg, "_det_modular", wraps=linalg._det_modular) as hand_off,
+        ):
+            values.append(count(g))
+        assert (tail.call_count, hand_off.call_count) == (1, 0)
+    assert values[0] == values[1] > 0
 
 
 def test_long_cycle():

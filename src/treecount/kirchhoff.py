@@ -12,7 +12,12 @@ root r the edge towards r, so tau is at most the degree product
 B_r = prod_{v != r} deg(v).  Every route ends in `_count`, the one place
 that divides: it asserts that the division is exact and that
 0 <= tau <= B_r, so an inexact, negative or oversized count is an
-assertion failure, never a value.
+assertion failure, never a value.  The Laplacian routes hand
+`linalg.det_int` the same bound on |det|, B_r for a minor and
+|sum u sum v| B_1 for the rank-one update, and it sizes its prime by
+that bound when it is below the Hadamard bound.  One residue mod a prime
+above twice a true bound is exact with no slack, but with less slack
+`_count`'s range check rejects fewer wrong residues.
 
 The bipartite reduction works over GF(P) for one prime P: the entries
 1/deg(c) of its matrix S become modular inverses, and `linalg.det_mod`
@@ -130,7 +135,8 @@ def tau_reduced(g: Graph, row: int, col: int) -> int:
     `linalg.minor_matrix` of the sparse Laplacian rows, so it stays in dict
     rows, and indices outside 1..n raise IndexOutOfRangeError there."""
     minor = linalg.minor_matrix(g.laplacian_rows(), row, col)
-    return _count(linalg.det_int(minor), -1 if (row + col) % 2 else 1, _degree_bound(g, row))
+    bound = _degree_bound(g, row)
+    return _count(linalg.det_int(minor, bound=bound), -1 if (row + col) % 2 else 1, bound)
 
 
 def tau_rank_one(g: Graph, u: Sequence[int], v: Sequence[int]) -> int:
@@ -143,7 +149,9 @@ def tau_rank_one(g: Graph, u: Sequence[int], v: Sequence[int]) -> int:
     sum_u, sum_v = sum(u), sum(v)
     if sum_u == 0 or sum_v == 0:
         raise ZeroVectorSumError("rank-one vector sums must be nonzero to recover the count")
-    return _count(linalg.det_perturbed(g.laplacian_rows(), u, v), sum_u * sum_v, _degree_bound(g, 1))
+    scale, bound = sum_u * sum_v, _degree_bound(g, 1)
+    det = linalg.det_perturbed(g.laplacian_rows(), u, v, bound=abs(scale) * bound)
+    return _count(det, scale, bound)
 
 
 def tau_temperley(g: Graph) -> int:

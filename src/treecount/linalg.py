@@ -6,18 +6,20 @@ Integer determinants (`det_int`) have three exact kernels:
   intermediate value is an integer and every internal division is checked
   to be exact.
 - Modular sparse elimination (`_det_modular`): the nonzero entries only,
-  eliminated in Markowitz order over GF(P), where H = isqrt(prod_i
-  sum_j a_ij^2) + 1 is the Hadamard bound, |det| <= H, and P is the
-  smallest prime 2^k - c above 2H in the literal table PRIMES: k = 64, 96,
-  ..., 1024 with a small c, then Mersenne primes 2^k - 1 up to 2^44497 - 1.
-  Reduction is lazy: entries are reduced once when a kernel starts, an
-  update adds g v < P^2 for the reduced row factor g and pivot-row value
-  v, and every read of a stored entry reduces it with % P.  An entry gets
-  at most one update per pivot, so every stored entry stays below
-  (n + 1) P^2.  The result is exact: any nonzero residue is an invertible
-  pivot, a row left with no nonzero residue means det = 0 mod P, and one
-  residue mod P > 2H fixes an integer in [-H, H].  So there is no Chinese
-  remaindering and no unlucky prime.
+  eliminated in Markowitz order over GF(P).  H = isqrt(prod_i sum_j
+  a_ij^2) + 1 is the Hadamard bound, |det| <= H, and a caller may pass a
+  bound b of its own with |det| <= b.  P is the smallest prime 2^k - c
+  above 2 min(H, b) in the literal table PRIMES: k = 60, 90, ..., 1260
+  with a small c, so that a residue fills whole 30-bit digits of a Python
+  int, then Mersenne primes 2^k - 1 up to 2^44497 - 1.  Reduction is
+  lazy: entries are reduced once when a kernel starts, an update adds
+  g v < P^2 for the reduced row factor g and pivot-row value v, and every
+  read of a stored entry reduces it with % P.  An entry gets at most one
+  update per pivot, so every stored entry stays below (n + 1) P^2.  The
+  result is exact: any nonzero residue is an invertible pivot, a row left
+  with no nonzero residue means det = 0 mod P, and one residue mod
+  P > 2 min(H, b) fixes an integer in [-min(H, b), min(H, b)].  So there
+  is no Chinese remaindering and no unlucky prime.
 - Symmetric sparse elimination (`_det_symmetric`), for symmetric matrices
   such as Laplacian minors: minimum-degree order with diagonal pivots over
   the same GF(P).  A diagonal pivot leaves the block left symmetric (its
@@ -44,8 +46,8 @@ Integer determinants (`det_int`) have three exact kernels:
 
 `det_int` picks the kernel from the order of the matrix it receives, and
 from nothing else: a modular one for order at least SPARSE_MIN_ORDER, when
-2H fits under the largest tabled prime; Bareiss otherwise.  The nonzero
-count does not enter: with its dense tail, the symmetric kernel beats
+2 min(H, b) fits under the largest tabled prime; Bareiss otherwise.  The
+nonzero count does not enter: with its dense tail, the symmetric kernel beats
 Bareiss at every density from order 30 up, and the Markowitz kernel beats
 it on sparse and mid-density matrices, losing 1.3-1.5x only on dense
 non-symmetric ones such as L + 1 e_1^T of a nearly complete graph.
@@ -109,17 +111,19 @@ RatMatrix = list[list[Fraction]]
 IntRows = Sequence[Sequence[int] | dict[int, int]]
 
 # The primes P = 2^k - c the modular kernels work modulo, as (k, c) in
-# increasing order: for k = 64, 96, ..., 1024 the smallest c making 2^k - c
+# increasing order: for k = 60, 90, ..., 1260 the smallest c making 2^k - c
 # prime (found offline and checked by a Miller-Rabin test in the suite), then
-# Mersenne primes 2^k - 1.  Steps of 32 bits size P to the Hadamard bound, so
-# the residues carry few more digits than the determinant needs.
+# Mersenne primes 2^k - 1.  CPython stores an int in 30-bit digits, so a
+# residue below 2^k fills k / 30 of them, and steps of 30 bits size P to the
+# determinant's bound with at most one digit more than that bound needs.
 PRIMES = (
-    (64, 59), (96, 17), (128, 159), (160, 47), (192, 237), (224, 63),
-    (256, 189), (288, 167), (320, 197), (352, 657), (384, 317), (416, 435),
-    (448, 203), (480, 47), (512, 569), (544, 759), (576, 789), (608, 527),
-    (640, 305), (672, 399), (704, 245), (736, 509), (768, 825), (800, 105),
-    (832, 143), (864, 243), (896, 213), (928, 645), (960, 167), (992, 1779),
-    (1024, 105),
+    (60, 93), (90, 33), (120, 119), (150, 3), (180, 47), (210, 47), (240, 467),
+    (270, 53), (300, 153), (330, 255), (360, 719), (390, 137), (420, 317),
+    (450, 501), (480, 47), (510, 75), (540, 335), (570, 261), (600, 95),
+    (630, 395), (660, 473), (690, 455), (720, 395), (750, 161), (780, 147),
+    (810, 5), (840, 213), (870, 783), (900, 207), (930, 765), (960, 167),
+    (990, 195), (1020, 537), (1050, 1881), (1080, 405), (1110, 413),
+    (1140, 185), (1170, 833), (1200, 305), (1230, 123), (1260, 35),
     (1279, 1), (2203, 1), (2281, 1), (3217, 1), (4253, 1), (4423, 1),
     (9689, 1), (9941, 1), (11213, 1), (19937, 1), (21701, 1), (23209, 1),
     (44497, 1),
@@ -169,22 +173,28 @@ def _order(m: IntRows) -> int:
     return n
 
 
-def det_int(m: IntRows) -> int:
+def det_int(m: IntRows, *, bound: int | None = None) -> int:
     """Exact determinant of a square integer matrix, given as row lists or
     as sparse rows {0-based column: entry}; an entry that is not an int
     raises LinalgError.
 
-    A matrix of order at least SPARSE_MIN_ORDER goes to a modular kernel,
-    the symmetric one when m is symmetric, whenever twice its Hadamard
-    bound is below the largest tabled prime; all others go to Bareiss
-    elimination (see the module docstring).  The 0x0 matrix has
-    determinant 1 (empty product).
+    `bound`, when given, is the caller's promise that |det(m)| <= bound; it
+    must be an int >= 0, or LinalgError is raised.  A matrix of order at
+    least SPARSE_MIN_ORDER goes to a modular kernel, the symmetric one when
+    m is symmetric, whenever twice the smaller of its Hadamard bound and
+    `bound` is below the largest tabled prime; the prime is the smallest
+    tabled one above that, so a bound larger than the Hadamard bound
+    changes nothing.  All others go to Bareiss elimination (see the module
+    docstring).  The 0x0 matrix has determinant 1 (empty product).
     """
+    if bound is not None and (not isinstance(bound, int) or bound < 0):
+        raise LinalgError(f"a determinant bound must be an int >= 0, got {bound!r}")
     n = _order(m)
     _nonzeros(m)  # checks the entries
     if n >= SPARSE_MIN_ORDER:
         rows = _sparse_rows(m)
-        p = prime_above(2 * _hadamard_bound(rows))
+        hadamard = _hadamard_bound(rows)
+        p = prime_above(2 * (hadamard if bound is None else min(hadamard, bound)))
         if p is not None:
             return _det_mod_rows(rows, p)
     return _det_bareiss(_dense_rows(m, n))
@@ -255,7 +265,9 @@ def _hadamard_bound(rows: Sequence[dict[int, int]]) -> int:
 
 
 def prime_above(bound: int) -> int | None:
-    """Smallest tabled prime 2^k - c greater than `bound`, or None."""
+    """Smallest tabled prime 2^k - c greater than `bound`, or None.  The
+    table steps by 30 bits from 2^60 to 2^1260, so for a `bound` between
+    those P has at most 30 bits more than it."""
     for k, c in PRIMES:
         p = (1 << k) - c
         if p > bound:
@@ -540,10 +552,12 @@ def _outer_sum(rows: list[dict[int, int]], u: Sequence[int], v: Sequence[int]) -
     ]
 
 
-def det_perturbed(m: IntRows, u: Sequence[int], v: Sequence[int]) -> int:
+def det_perturbed(m: IntRows, u: Sequence[int], v: Sequence[int], *, bound: int | None = None) -> int:
     """det(M + u v^T) for an n x n matrix, given as `det_int` takes it, and
     length-n vectors; an entry of M, u or v that is not an int raises
-    LinalgError.
+    LinalgError.  `bound` is a bound on |det(M + u v^T)|, which `det_int`
+    takes as it is, since the bordered matrix below has the same
+    determinant up to sign.
 
     Below n + 1 = SPARSE_MIN_ORDER, `det_int` gets M + u v^T as row lists
     from `add_outer_product`: the bordered matrix would go to Bareiss too,
@@ -569,14 +583,14 @@ def det_perturbed(m: IntRows, u: Sequence[int], v: Sequence[int]) -> int:
         raise DimensionMismatchError(f"vector lengths {len(u)}, {len(v)} do not match n={n}")
     nnz_u, nnz_v, nnz_m = _nonzeros([u]), _nonzeros([v]), _nonzeros(m)
     if n + 1 < SPARSE_MIN_ORDER:
-        return det_int(add_outer_product(m, u, v))
+        return det_int(add_outer_product(m, u, v), bound=bound)
     if 2 * nnz_m + nnz_u + nnz_v + 1 < nnz_u * nnz_v:
         bordered = [{**row, n: x} if x else row for row, x in zip(_sparse_rows(m), u)]
         last = {j: x for j, x in enumerate(v) if x}
         last[n] = -1
         bordered.append(last)
-        return -det_int(bordered)
-    return det_int(_outer_sum(_sparse_rows(m), u, v))
+        return -det_int(bordered, bound=bound)
+    return det_int(_outer_sum(_sparse_rows(m), u, v), bound=bound)
 
 
 def adjugate(m: IntRows) -> IntMatrix:

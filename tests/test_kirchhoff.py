@@ -111,6 +111,29 @@ def test_laplacian_rows_are_the_only_matrix_the_methods_build():
         assert all(isinstance(row, dict) for row in call.args[0])
 
 
+def test_laplacian_routes_size_the_prime_by_the_count_bound(monkeypatch):
+    """tau_reduced hands det_int the degree product B_r and tau_temperley
+    n^2 B_1, the bounds _count checks, and the prime the symmetric kernel
+    receives is the smallest tabled one above twice that bound, in whole
+    30-bit digits: 6 and 6 digits on the 150-cycle, 9 and 10 on the 12 x 12
+    grid, where the Hadamard bound and the 32-bit table gave 8 and 8, and
+    11 and 11."""
+    primes, bounds = [], []
+    real_symmetric, real_det_int = linalg._det_symmetric, linalg.det_int
+    monkeypatch.setattr(linalg, "_det_symmetric", lambda rows, p: primes.append(p) or real_symmetric(rows, p))
+    monkeypatch.setattr(linalg, "det_int", lambda m, bound: bounds.append(bound) or real_det_int(m, bound=bound))
+    cycle = Graph(150, [(i, i % 150 + 1) for i in range(1, 151)])
+    grid = Graph(144, [(v, v + 1) for v in range(1, 144) if v % 12] + [(v, v + 12) for v in range(1, 133)])
+    for g, digits in ((cycle, [6, 6]), (grid, [9, 10])):
+        primes.clear()
+        bounds.clear()
+        assert tau_reduced(g, 1, 1) == tau_temperley(g) > 0
+        b = kirchhoff._degree_bound(g, 1)
+        assert bounds == [b, g.n**2 * b]
+        assert primes == [linalg.prime_above(2 * bound) for bound in bounds]
+        assert [-(-p.bit_length() // 30) for p in primes] == digits
+
+
 def test_each_laplacian_count_reaches_the_kernels_through_one_public_call():
     """reduced, rankone and temperley each call linalg.det_int exactly once
     per count, on a sparse graph whose matrices take a modular kernel and on

@@ -315,13 +315,13 @@ def test_det_modular_matches_bareiss_on_sparse_nonsymmetric(n, per_row, seed):
 
 
 def test_prime_above():
-    assert prime_above(0) == 2**64 - 59
-    assert prime_above(2**64 - 60) == 2**64 - 59
-    assert prime_above(2**64 - 59) == 2**96 - 17
-    assert prime_above(2**130) == 2**160 - 47
+    assert prime_above(0) == 2**60 - 93
+    assert prime_above(2**60 - 94) == 2**60 - 93
+    assert prime_above(2**60 - 93) == 2**90 - 33
+    assert prime_above(2**130) == 2**150 - 3
     # the seam between the pseudo-Mersenne primes and the Mersenne primes
-    assert prime_above(2**1024 - 106) == 2**1024 - 105
-    assert prime_above(2**1024 - 105) == 2**1279 - 1
+    assert prime_above(2**1260 - 36) == 2**1260 - 35
+    assert prime_above(2**1260 - 35) == 2**1279 - 1
     assert prime_above(2**1279 - 2) == 2**1279 - 1
     assert prime_above(2**1279 - 1) == 2**2203 - 1
     # the ceiling
@@ -351,12 +351,13 @@ def is_probable_prime(n: int) -> bool:
 def test_prime_table():
     ks = [k for k, _ in PRIMES]
     assert ks == sorted(set(ks))
-    pseudo = [(k, c) for k, c in PRIMES if k <= 1024]
-    assert [k for k, _ in pseudo] == list(range(64, 1025, 32))
+    pseudo = [(k, c) for k, c in PRIMES if k <= 1260]
+    # whole 30-bit digits of a Python int
+    assert [k for k, _ in pseudo] == list(range(60, 1261, 30))
     for k, c in PRIMES:
         assert 0 < c
-        assert c == 1 or k <= 1024
-    # The Mersenne entries above 1024 are known primes; Miller-Rabin on
+        assert c == 1 or k <= 1260
+    # The Mersenne entries above 1260 are known primes; Miller-Rabin on
     # them would take seconds.
     for k, c in pseudo:
         assert is_probable_prime((1 << k) - c), (k, c)
@@ -494,9 +495,9 @@ def spy_det_int_orders(monkeypatch):
     orders = []
     real_det_int = linalg.det_int
 
-    def det_int_spy(m):
+    def det_int_spy(m, **kwargs):
         orders.append(len(m))
-        return real_det_int(m)
+        return real_det_int(m, **kwargs)
 
     monkeypatch.setattr(linalg, "det_int", det_int_spy)
     return orders
@@ -660,6 +661,89 @@ def test_det_perturbed_symmetric_border_matches_bareiss(m, seed):
     with mock.patch.object(linalg, "_det_symmetric", wraps=linalg._det_symmetric) as kernel:
         assert det_perturbed(m, u, u) == _det_bareiss(add_outer_product(m, u, u))
     assert kernel.call_count == 1
+
+
+@st.composite
+def bounded_matrices(draw):
+    """(M, d, b): M of order 30-60, symmetric or not, with about 3
+    off-diagonal entries a row and some singular; d = det(M) by Bareiss;
+    and b with |d| <= b <= H, the Hadamard bound, |d| itself half the time."""
+    if draw(st.booleans()):
+        m = draw(sparse_symmetric_matrices())
+    else:
+        n = draw(st.integers(linalg.SPARSE_MIN_ORDER, 60))
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        m = [[0] * n for _ in range(n)]
+        for i, row in enumerate(m):
+            row[i] = rng.randint(-50, 50)
+            for j in rng.sample(range(n), 3):
+                row[j] = rng.randint(-50, 50)
+        if draw(st.booleans()):
+            m[0] = list(m[1])
+    d = _det_bareiss(m)
+    h = _hadamard_bound(sparse_rows(m))
+    return m, d, draw(st.one_of(st.just(abs(d)), st.integers(abs(d), h)))
+
+
+@given(bounded_matrices())
+@settings(max_examples=40, deadline=None)
+def test_det_int_bound_keeps_the_value(mdb):
+    m, d, b = mdb
+    assert det_int(m, bound=b) == det_int(m) == d
+
+
+def test_det_perturbed_bound_keeps_the_value_on_both_paths(monkeypatch):
+    """A bound b with |det(M + u v^T)| <= b reaches det_int on both of
+    det_perturbed's paths, the border and M + u v^T, and leaves the value
+    as it is; both paths are drawn."""
+    orders = spy_det_int_orders(monkeypatch)
+    outcomes = set()
+
+    @given(rank_one_updates_either_side(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def check(muv, data):
+        m, u, v = muv
+        shifted = add_outer_product(m, u, v)
+        d = _det_bareiss(shifted)
+        b = data.draw(st.one_of(st.just(abs(d)), st.integers(abs(d), _hadamard_bound(sparse_rows(shifted)))))
+        orders.clear()
+        assert det_perturbed(m, u, v, bound=b) == det_perturbed(m, u, v) == d
+        outcomes.add(orders[0] == len(m) + 1)
+
+    check()
+    assert outcomes == {True, False}
+
+
+def test_det_int_bound_at_each_prime_seam(monkeypatch):
+    """diag(b, 1, ..., 1) of order 30 with b = (p - 1) // 2 for each tabled
+    prime p below 2^1279: with bound=b, 2b = p - 1, so p is the prime, and
+    the residue b, or -b, is the least one in absolute value.  The Hadamard
+    bound b + 1 alone, or with a larger bound, picks the next prime."""
+    primes = []
+    monkeypatch.setattr(linalg, "_det_symmetric", lambda rows, p: primes.append(p) or _det_symmetric(rows, p))
+    for k, c in PRIMES:
+        if k >= 1279:
+            break
+        p = (1 << k) - c
+        b = (p - 1) // 2
+        for sign in (1, -1):
+            m = identity(linalg.SPARSE_MIN_ORDER)
+            m[0][0] = sign * b
+            primes.clear()
+            assert det_int(m, bound=b) == sign * b
+            assert primes == [p]
+            # a bound above the Hadamard bound changes nothing
+            assert det_int(m) == det_int(m, bound=b * b) == sign * b
+            assert primes[1] == primes[2] > p
+
+
+@pytest.mark.parametrize("bound", [-1, 1.5, "3", Fraction(3), [3]])
+def test_det_int_rejects_a_bad_bound(bound):
+    for m in (identity(3), identity(linalg.SPARSE_MIN_ORDER)):
+        with pytest.raises(LinalgError):
+            det_int(m, bound=bound)
+        with pytest.raises(LinalgError):
+            det_perturbed(m, [1] * len(m), [1] * len(m), bound=bound)
 
 
 def block_orders(monkeypatch):

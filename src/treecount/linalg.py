@@ -48,9 +48,11 @@ Integer determinants (`det_int`) have three exact kernels:
 from nothing else: a modular one for order at least SPARSE_MIN_ORDER, when
 2 min(H, b) fits under the largest tabled prime; Bareiss otherwise.  The
 nonzero count does not enter: with its dense tail, the symmetric kernel beats
-Bareiss at every density from order 30 up, and the Markowitz kernel beats
-it on sparse and mid-density matrices, losing 1.3-1.5x only on dense
-non-symmetric ones such as L + 1 e_1^T of a nearly complete graph.
+Bareiss at every density from order 30 up (0.33-0.73x its time on Laplacian
+minors of orders 30-40; at orders 15-28 it wins on sparse minors but not
+always on dense ones), and the Markowitz kernel beats it on sparse and
+mid-density matrices, losing 1.3-1.5x only on dense non-symmetric ones such
+as L + 1 e_1^T of a nearly complete graph.
 `det_mod` gives det mod a caller's prime through the same two modular
 kernels, the symmetric one when the matrix is symmetric, for callers that
 bound the value they recover themselves (the bipartite reduction in
@@ -129,9 +131,12 @@ PRIMES = (
     (44497, 1),
 )
 # det_int's kernel choice: below this order Bareiss runs.  The symmetric
-# kernel on Laplacian minors was 1.1-3.7x slower than Bareiss at orders 4-8
-# and 0.42-1.60x its time at orders 11-24; from order 29 up it won at every
-# density (best of 3, Python 3.11, 2 vCPUs).
+# kernel at the bound-sized prime, against Bareiss on Laplacian minors of
+# connected G(n, p) (best of 7, Python 3.11, 2 vCPUs): 1.7-4.6x slower at
+# orders 5-8; at orders 15-28, 0.41-0.86x its time on sparse minors
+# (p = 0.3) and 0.78-1.31x on dense ones (p = 0.95); at orders 30-40,
+# 0.33-0.55x and 0.64-0.73x.  A lower floor for sparse minors alone would
+# be a rule on the nonzero count, which the choice leaves out.
 SPARSE_MIN_ORDER = 30
 # _det_symmetric's dense tail starts when the row minimum degree pops has at
 # least DENSE_TAIL_TENTHS / 10 of the rows left as entries.  Kernel time
@@ -293,7 +298,10 @@ def _det_modular(rows: list[dict[int, int]], p: int) -> int:
     reduces it, so a stored entry that is 0 mod p is never used as a pivot,
     and each entry, updated at most once per pivot, stays below
     (n + 1) p^2.  Then det(A) = sgn(s) * prod(pivots) mod p, where s maps
-    each pivot's row to its column.
+    each pivot's row to its column.  A heap of (entry count, row) picks
+    the row: every row a pivot touches is pushed again with its new count,
+    and a popped entry whose row is done or holds another count is stale
+    and skipped.
     """
     n = len(rows)
     rows = [{j: r for j, x in row.items() if (r := x % p)} for row in rows]
@@ -328,7 +336,6 @@ def _det_modular(rows: list[dict[int, int]], p: int) -> int:
         items = [(j, v) for j, x in row.items() if (v := x % p)]
         for i in cols[col]:
             target = rows[i]
-            size = len(target)
             g = -(target.pop(col) % p) * inv % p
             if g:
                 get = target.get
@@ -336,8 +343,7 @@ def _det_modular(rows: list[dict[int, int]], p: int) -> int:
                     if j not in target:
                         cols[j].add(i)
                     target[j] = get(j, 0) + g * v
-            if len(target) != size:
-                heappush(heap, (len(target), i))
+            heappush(heap, (len(target), i))
         cols[col] = set()
         row.clear()  # never read again: frees the entries of eliminated rows
     # parity of s: a cycle of length l is l - 1 transpositions
@@ -366,7 +372,9 @@ def _det_symmetric(rows: list[dict[int, int]], p: int) -> int:
     with its column permutes nothing, so det(A) = prod(pivots) * det(block
     left).  When a diagonal residue is 0, as on a singular Laplacian, the
     block left (in which that diagonal is 0) goes to `_det_modular`, which
-    reduces its entries when it starts.
+    reduces its entries when it starts.  The heap is `_det_modular`'s:
+    every row a pivot touches is pushed again, and stale entries are
+    skipped when popped.
 
     The popped row has the fewest entries, so once it holds at least
     DENSE_TAIL_TENTHS / 10 of the rows left, every row left does.  Then
@@ -399,7 +407,6 @@ def _det_symmetric(rows: list[dict[int, int]], p: int) -> int:
         done[r] = True
         left -= 1
         det = det * pivot % p
-        sizes = [len(rows[a]) for a in row]
         for a in row:
             del rows[a][r]
         inv = pow(pivot, -1, p)
@@ -411,9 +418,8 @@ def _det_symmetric(rows: list[dict[int, int]], p: int) -> int:
             target[a] = get(a, 0) + g * va
             for b, vb in items[t + 1:]:
                 target[b] = rows[b][a] = get(b, 0) + g * vb
-        for a, size in zip(row, sizes):
-            if len(rows[a]) != size:
-                heappush(heap, (len(rows[a]), a))
+        for a in row:
+            heappush(heap, (len(rows[a]), a))
         row.clear()  # never read again: frees the entries of eliminated rows
     return _centered(det, p)
 

@@ -41,13 +41,14 @@ split it strips pendant vertices, found with a queue: a vertex whose only
 bundle has k copies is joined to the tree by one of them, a factor of k,
 and a vertex with no bundle left (other than the last one) leaves no
 spanning tree.  The recurrence ends at six vertices: a stripped state of
-three has a bundle between every two of its vertices, x, y and z copies,
-and xy + yz + zx spanning trees, or no bundle at all; one of four or five
-is counted by `_k5_trees`, and one of six by `_k6_trees`.  A bundle split
-takes the bundle with the smallest labels.  Different splits reach the
-same stripped multigraph, so each call keeps a cache from stripped state
-to tau (Haggard, Pearce and Royle's deletion-contraction with a subgraph
-cache).
+four or five is counted by `_k5_trees`, and one of six by `_k6_trees`.  A
+stripped state of three goes on like a larger one: either a bundle joins
+every two of its vertices, and a vertex split takes it to parts of two
+vertices and one, which stripping counts, or no bundle is left, and the
+connectivity check counts it 0.  A bundle split takes the bundle with the
+smallest labels.  Different splits reach the same stripped multigraph, so
+each call keeps a cache from stripped state to tau (Haggard, Pearce and
+Royle's deletion-contraction with a subgraph cache).
 Both oracles run on explicit stacks: neither depends on Python's recursion
 limit.
 
@@ -365,13 +366,14 @@ def tau_delcon(mg: Multigraph) -> int:
 
     The vertices are first relabelled by `_degeneracy_rank`.  A state is
     (vertex count, bundles {(a, b): k}).  Each state first loses its
-    pendant vertices (a factor of k each); one vertex left counts 1, three
-    count xy + yz + zx for the x, y, z copies between them (0 when they
-    are stranded trees, with no bundle left), four and five count
-    `_k5_trees` of their bundles and six count `_k6_trees` (0 when the
-    vertices are not connected), with no cache entry, so the recurrence
-    ends at six vertices; a larger disconnected state counts 0.  Otherwise
-    it splits (see the module docstring).  At v, the vertex with the
+    pendant vertices (a factor of k each); one vertex left counts 1, four
+    and five count `_k5_trees` of their bundles and six count `_k6_trees`
+    (0 when the vertices are not connected), with no cache entry, so the
+    recurrence ends at six vertices.  Any other state is looked up in the
+    cache, then counts 0 when it is disconnected, and otherwise splits
+    (see the module docstring).  Three stripped vertices are a triangle of
+    bundles, which a vertex split takes to two vertices and one, or three
+    stranded trees, which count 0 there.  At v, the vertex with the
     fewest bundles and the smallest label on ties, when v has two or
     three: tau = (sum of k_u) * tau(G - v) + the sum over sets S of two or
     more of v's neighbours of (product of k_u over S) * tau((G - v)/S), for
@@ -383,10 +385,15 @@ def tau_delcon(mg: Multigraph) -> int:
     part's result times its coefficient once all are on the value stack.
 
     Different splits reach the same stripped state, so a per-call
-    cache maps its frozen bundles (which, after stripping, also fix the
-    vertex count) to tau.  A state is stored only the second time its
-    hash is seen: a chain of states seen once, such as the shrinking
-    cycles of a long cycle, keeps nothing but one int per state.
+    cache maps its frozen bundles to tau.  The bundles fix the vertex
+    count only when every vertex has one, and the key rests on that: a
+    split at a vertex of fewest bundles never leaves a tree beside another
+    component, so no state a split makes has a vertex without a bundle
+    after stripping.  Only the input itself can, and then it is
+    disconnected: the connectivity check counts it 0 before anything is
+    cached.  A state is stored only the second time its hash is seen: a
+    chain of states seen once, such as the shrinking cycles of a long
+    cycle, keeps nothing but one int per state.
     """
     rank = _degeneracy_rank(mg.n, mg.edges)
     relabelled = {}
@@ -429,10 +436,6 @@ def tau_delcon(mg: Multigraph) -> int:
                 queue.append(u)
         if vertices == 1:
             values.append(factor)
-            continue
-        if vertices == 3:  # a bundle between every two, or none: stranded trees
-            x, y, z = (*edges.values(), 0, 0, 0)[:3]
-            values.append(factor * (x * y + y * z + z * x))
             continue
         if vertices == 4 or vertices == 5:  # the fifth vertex, if any, is v of `_k5_trees`
             *fifth, a, b, c, d = adj

@@ -149,9 +149,9 @@ def test_oracles_agree_with_reduced_on_clustered_graphs(g):
 
 
 def test_oracles_count_three_stranded_trees():
-    # both oracles end their searches in closed form: the subset scan at
-    # five components, deletion-contraction at three stripped vertices,
-    # which here have no bundle between them
+    # the subset scan ends in closed form at five components;
+    # deletion-contraction strips the three trees to three vertices with
+    # no bundle between them, which its connectivity check counts 0
     g = Graph(6, [(1, 2), (3, 4), (5, 6)])
     assert tau_subsets(g) == tau_delcon(Multigraph.from_graph(g)) == 0
 
@@ -307,6 +307,24 @@ def test_tau_delcon_matches_labelled_edge_enumeration(nb):
     for i, j, k in bundles:
         edges[(i, j)] += k
     assert tau_delcon(Multigraph(n, edges)) == tau_by_labelled_edges(n, bundles)
+
+
+def test_tau_delcon_counts_every_three_vertex_multigraph():
+    """All 4^3 bundle vectors on three vertices, multiplicities 0-3: a
+    triangle of bundles reaches the vertex split, a path strips to one
+    vertex, and the rest have an isolated vertex."""
+    for x, y, z in product(range(4), repeat=3):
+        mg = Multigraph(3, Counter({(1, 2): x, (2, 3): y, (1, 3): z}))
+        assert tau_delcon(mg) == x * y + y * z + z * x, (x, y, z)
+
+
+def test_tau_delcon_counts_a_weighted_triangle_with_pendant_paths():
+    """Stripping the paths on the corners of a weighted triangle leaves
+    three vertices and a factor of the paths' copies: 11 * 12 trees."""
+    bundles = [(1, 2, 2), (2, 3, 1), (1, 3, 3), (1, 4, 2), (4, 5, 1), (2, 6, 3),
+               (3, 7, 1), (7, 8, 2), (8, 9, 1)]
+    edges = Counter({(i, j): k for i, j, k in bundles})
+    assert tau_delcon(Multigraph(9, edges)) == tau_by_labelled_edges(9, bundles) == 11 * 12
 
 
 FOUR_VERTEX_PAIRS = list(combinations(range(1, 5), 2))
